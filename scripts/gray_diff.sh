@@ -7,6 +7,8 @@
 # a healthy (fault-free) verify must also pass, a plan mixing gray kinds
 # with hard faults (down/loss/corrupt) must verify, and the one-line
 # exit-2 rejects (--hybrid with --faults, verify-owned flags) must hold.
+# The per-link drops.csv impairment columns must sum to summary.json's
+# impairments block, in the --shards=1 leg and in a plain serial run.
 #
 #   scripts/gray_diff.sh [build-dir]   # default: build
 set -euo pipefail
@@ -60,6 +62,29 @@ assert imp["delayed"] > 0, "delay/reorder fault held no packets"
 assert imp["overmarked"] > 0, "overmark fault forced no CE"
 print("impairments accounted:", imp)
 EOF
+
+# Per-link impairment columns must add up to the run's totals, in the
+# sharded (--shards=1) verify leg and in a plain serial run alike: the two
+# engines share one collect step, and this pins that they stay in step.
+impairment_rows_match() {
+  python3 - "$1/summary.json" "$1/drops.csv" <<'EOF'
+import csv, json, sys
+with open(sys.argv[1]) as f:
+    imp = json.load(f)["impairments"]
+sums = dict.fromkeys(("duplicated", "delayed", "overmarked"), 0)
+with open(sys.argv[2], newline="") as f:
+    for row in csv.DictReader(f):
+        for k in sums:
+            sums[k] += int(row[k])
+assert sums == imp, f"{sys.argv[2]} columns sum to {sums}, summary says {imp}"
+print("per-link impairments match totals:", sys.argv[2])
+EOF
+}
+impairment_rows_match "$tmp/gray/serial"
+mkdir "$tmp/plain"
+"$bin" run "${scenario[@]}" "--faults=$gray" --json="$tmp/plain/summary.json" \
+  --drops-csv="$tmp/plain/drops.csv" > /dev/null
+impairment_rows_match "$tmp/plain"
 
 expect_reject() {
   local want="$1"; shift

@@ -146,8 +146,9 @@ struct ExperimentConfig {
   /// one *logical* shard per pod (fixed by the topology, never by this
   /// knob), so results are bit-identical across every `shards` value.
   /// Sharded runs support the Permutation pattern only, and neither
-  /// flowlet routing, invariant checking, subflow re-homing nor a
-  /// coexistence scheme_b (the serial engine covers those).
+  /// flowlet routing, invariant checking, subflow re-homing, the hybrid
+  /// engine nor a coexistence scheme_b (the serial engine covers those);
+  /// asking for one exits 2 with a one-line reason.
   int shards = 0;
 
   /// Hybrid fluid/packet engine (inactive by default).
@@ -328,12 +329,5 @@ struct ExperimentResults {
 /// workload and the scheme from the config, runs to completion, and
 /// collects the paper's metrics.
 [[nodiscard]] ExperimentResults run_experiment(const ExperimentConfig& cfg);
-
-/// The sharded conservative-sync engine behind run_experiment when
-/// cfg.shards >= 1 (exposed for tests; run_experiment dispatches here).
-/// Preconditions (asserted; the CLI rejects them with a diagnostic):
-/// Permutation pattern, no scheme_b, no flowlet routing, no invariant
-/// checking, no subflow re-homing.
-[[nodiscard]] ExperimentResults run_experiment_sharded(const ExperimentConfig& cfg);
 
 }  // namespace xmp::core

@@ -1,4 +1,5 @@
-// The sharded conservative-sync engine (run_experiment_sharded).
+// The sharded conservative-sync engine, driven through run_experiment with
+// cfg.shards >= 1.
 //
 // The load-bearing property is *worker-count invariance*: logical shards
 // are fixed by the topology, so --shards=1, 2 and 4 must produce identical
@@ -18,7 +19,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
+#include "faults/fault_plan.hpp"
 #include "net/handoff.hpp"
 #include "net/network.hpp"
 #include "sim/scheduler.hpp"
@@ -179,6 +182,54 @@ TEST(ShardedEngine, BoundaryLinkKillMidEpoch) {
   EXPECT_GT(r1.drops.fault + r1.drops.admin_down, 0u);
 }
 
+// Per-link impairment rows must add up to the run's impairment totals in
+// both engines. The gray plan and scenario are scripts/gray_diff.sh's: every
+// gray fault kind at once on a k=4 permutation (seed 11), so each of the
+// duplicated/delayed/overmarked columns is non-zero.
+TEST(ShardedEngine, LinkImpairmentRowsSumToTotals) {
+  auto mk = [](int shards) {
+    ExperimentConfig cfg;
+    cfg.fat_tree_k = 4;
+    cfg.pattern = Pattern::Permutation;
+    cfg.scheme.kind = workload::SchemeSpec::Kind::Xmp;
+    cfg.scheme.subflows = 2;
+    cfg.scheme.beta = 4;
+    cfg.scheme.dead_after_rtos = 3;  // the CLI default under a fault plan
+    cfg.permutation_rounds = 1;
+    cfg.duration = sim::Time::seconds(0.05);
+    cfg.seed = 11;
+    cfg.shards = shards;
+    std::string err;
+    const bool parsed = faults::FaultPlan::parse(
+        "degrade,link=2,at=0.01,factor=0.4,until=0.03;"
+        "delay,link=5,at=0.005,dt=1e-4,jitter=5e-5,until=0.04;"
+        "reorder,link=7,at=0.01,p=0.05,dt=2e-4;"
+        "duplicate,link=9,at=0,p=0.02;"
+        "overmark,link=11,at=0.02,p=0.3",
+        cfg.fault_plan, &err);
+    EXPECT_TRUE(parsed) << err;
+    return cfg;
+  };
+  for (const int shards : {0, 1}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    const auto r = run_experiment(mk(shards));
+    std::uint64_t duplicated = 0;
+    std::uint64_t delayed = 0;
+    std::uint64_t overmarked = 0;
+    for (const auto& row : r.link_drops) {
+      duplicated += row.duplicated;
+      delayed += row.delayed;
+      overmarked += row.overmarked;
+    }
+    EXPECT_GT(r.drops.duplicated, 0u);
+    EXPECT_GT(r.drops.delayed, 0u);
+    EXPECT_GT(r.drops.overmarked, 0u);
+    EXPECT_EQ(duplicated, r.drops.duplicated);
+    EXPECT_EQ(delayed, r.drops.delayed);
+    EXPECT_EQ(overmarked, r.drops.overmarked);
+  }
+}
+
 // Construction-time rejection: a zero-delay cross-shard link would make the
 // conservative lookahead zero (no parallel window at all), so the fabric
 // refuses to build, with exit code 2 and a one-line diagnostic.
@@ -189,6 +240,16 @@ TEST(ShardedEngineDeath, ZeroCrossShardDelayExits2) {
         fabric.note_cross_link(0, 1, sim::Time::zero(), 7);
       },
       ::testing::ExitedWithCode(2), "zero propagation delay");
+}
+
+// A library caller asking the sharded engine for a pattern it cannot run
+// gets a one-line reason and exit 2 in every build type, never a silent
+// permutation run.
+TEST(ShardedEngineDeath, RandomPatternExits2) {
+  auto cfg = sharded_cfg(1);
+  cfg.pattern = Pattern::Random;
+  EXPECT_EXIT((void)run_experiment(cfg), ::testing::ExitedWithCode(2),
+              "sharded engine supports the Permutation pattern only");
 }
 
 }  // namespace

@@ -14,7 +14,7 @@
 
 #include "core/experiment.hpp"
 #include "core/export.hpp"
-#include "util/mini_json.hpp"
+#include "core/mini_json.hpp"
 
 namespace xmp::core {
 namespace {
@@ -86,7 +86,7 @@ TEST(ObsDeterminism, TracedRunEmitsValidPerfettoJsonAndMetrics) {
   // The Chrome trace must parse and expose per-subflow cwnd and δ-gain
   // counter tracks plus named flow/link processes — the contract Perfetto
   // and scripts/validate_trace.py rely on.
-  const auto root = test::MiniJsonParser::parse(slurp(trace.path));
+  const auto root = json::MiniJsonParser::parse(slurp(trace.path));
   ASSERT_TRUE(root.is_object());
   ASSERT_TRUE(root.at("traceEvents").is_array());
   EXPECT_GT(root.at("otherData").at("events").number, 0.0);
@@ -114,7 +114,7 @@ TEST(ObsDeterminism, TracedRunEmitsValidPerfettoJsonAndMetrics) {
   EXPECT_TRUE(saw_named_link);
   EXPECT_TRUE(saw_subflow1);  // both subflows of the 2-subflow XMP scheme
 
-  const auto m = test::MiniJsonParser::parse(slurp(metrics.path));
+  const auto m = json::MiniJsonParser::parse(slurp(metrics.path));
   ASSERT_TRUE(m.is_object());
   EXPECT_GT(m.at("counters").at("packets_delivered").number, 0.0);
   EXPECT_GT(m.at("histograms").at("fct_us").at("count").number, 0.0);
@@ -128,7 +128,7 @@ TEST(ObsDeterminism, CategoryFilterRestrictsTraceContents) {
   cfg.obs.categories = obs::cat::kCwnd;
   run_experiment(cfg);
 
-  const auto root = test::MiniJsonParser::parse(slurp(trace.path));
+  const auto root = json::MiniJsonParser::parse(slurp(trace.path));
   for (const auto& ev : root.at("traceEvents").array) {
     const std::string& ph = ev.at("ph").str;
     if (ph == "M") continue;  // metadata is always emitted

@@ -8,7 +8,7 @@
 #include <sstream>
 #include <vector>
 
-#include "util/mini_json.hpp"
+#include "core/mini_json.hpp"
 
 namespace xmp::obs {
 namespace {
@@ -130,7 +130,7 @@ TEST(TimelineTracer, ChromeJsonExportIsValidAndTracksAreNamed) {
 
   TempFile f{"trace.json"};
   tr.export_chrome_json(f.path);
-  const auto root = test::MiniJsonParser::parse(slurp(f.path));
+  const auto root = core::json::MiniJsonParser::parse(slurp(f.path));
 
   ASSERT_TRUE(root.is_object());
   EXPECT_EQ(root.at("otherData").at("events").number, 8.0);
@@ -183,7 +183,7 @@ TEST(TimelineTracer, FlowAndLinkPidsNeverCollide) {
   tr.queue_sample(us(2), /*link=*/5, 1.0, 1500.0);
   TempFile f{"collide.json"};
   tr.export_chrome_json(f.path);
-  const auto root = test::MiniJsonParser::parse(slurp(f.path));
+  const auto root = core::json::MiniJsonParser::parse(slurp(f.path));
   double cwnd_pid = -1.0;
   double qlen_pid = -1.0;
   for (const auto& ev : root.at("traceEvents").array) {

@@ -10,7 +10,7 @@
 
 #include "core/experiment.hpp"
 #include "core/export.hpp"
-#include "util/mini_json.hpp"
+#include "core/mini_json.hpp"
 
 namespace xmp::trace {
 namespace {
@@ -200,12 +200,12 @@ TEST(JsonWriter, ControlCharactersRoundTripViaUnicodeEscapes) {
   EXPECT_NE(s.find("\\u001b"), std::string::npos);
   EXPECT_NE(s.find("\\u001f"), std::string::npos);
   EXPECT_NE(s.find("\\t"), std::string::npos);
-  const auto root = test::MiniJsonParser::parse(s);
+  const auto root = core::json::MiniJsonParser::parse(s);
   EXPECT_EQ(root.at("text").str, raw);
 }
 
 TEST(MiniJson, DecodesUnicodeEscapesIncludingSurrogatePairs) {
-  const auto root = test::MiniJsonParser::parse(
+  const auto root = core::json::MiniJsonParser::parse(
       R"({"s": "\u0041\u00e9\u20ac\ud83d\ude00", "slash": "\/"})");
   // A (1 byte), é (2 bytes), € (3 bytes), 😀 (4 bytes via surrogate pair).
   EXPECT_EQ(root.at("s").str, "A\xc3\xa9\xe2\x82\xac\xf0\x9f\x98\x80");
@@ -213,12 +213,12 @@ TEST(MiniJson, DecodesUnicodeEscapesIncludingSurrogatePairs) {
 }
 
 TEST(MiniJson, RejectsMalformedUnicodeEscapes) {
-  EXPECT_THROW(test::MiniJsonParser::parse(R"({"s": "\u12"})"), std::runtime_error);
-  EXPECT_THROW(test::MiniJsonParser::parse(R"({"s": "\uZZZZ"})"), std::runtime_error);
+  EXPECT_THROW(core::json::MiniJsonParser::parse(R"({"s": "\u12"})"), std::runtime_error);
+  EXPECT_THROW(core::json::MiniJsonParser::parse(R"({"s": "\uZZZZ"})"), std::runtime_error);
   // Unpaired / wrongly-paired surrogates are invalid JSON text.
-  EXPECT_THROW(test::MiniJsonParser::parse(R"({"s": "\ud83d"})"), std::runtime_error);
-  EXPECT_THROW(test::MiniJsonParser::parse(R"({"s": "\ud83dA"})"), std::runtime_error);
-  EXPECT_THROW(test::MiniJsonParser::parse(R"({"s": "\ude00"})"), std::runtime_error);
+  EXPECT_THROW(core::json::MiniJsonParser::parse(R"({"s": "\ud83d"})"), std::runtime_error);
+  EXPECT_THROW(core::json::MiniJsonParser::parse(R"({"s": "\ud83dA"})"), std::runtime_error);
+  EXPECT_THROW(core::json::MiniJsonParser::parse(R"({"s": "\ude00"})"), std::runtime_error);
 }
 
 TEST(JsonWriter, EmptyContainers) {
@@ -254,7 +254,7 @@ TEST(JsonWriter, OutputParsesBackStructurally) {
     json.end_array();
     json.end_object();
   }
-  const auto root = test::MiniJsonParser::parse(slurp(f.path));
+  const auto root = core::json::MiniJsonParser::parse(slurp(f.path));
   ASSERT_TRUE(root.is_object());
   EXPECT_EQ(root.at("label").str, "a \"quoted\"\nvalue");
   ASSERT_EQ(root.at("points").array.size(), 3u);
