@@ -103,6 +103,33 @@ void BM_EndToEndTransfer(benchmark::State& state) {
 }
 BENCHMARK(BM_EndToEndTransfer)->Unit(benchmark::kMillisecond);
 
+void BM_LongWire(benchmark::State& state) {
+  // One saturated 1 Gbps link with 1 ms of propagation: about 83 packets
+  // are on the wire at once, so this prices the per-packet delivery path
+  // (and the heap depth it leaves behind) rather than the queue.
+  constexpr int kPackets = 10'000;
+  class CountingSink final : public net::PacketSink {
+   public:
+    void receive(net::Packet /*p*/) override { ++delivered; }
+    std::uint64_t delivered = 0;
+  };
+  net::QueueConfig q;
+  q.kind = net::QueueConfig::Kind::DropTail;
+  q.capacity_packets = kPackets;
+  net::Packet p;
+  p.size_bytes = net::kDataPacketBytes;
+  for (auto _ : state) {
+    sim::Scheduler sched;
+    CountingSink sink;
+    net::Link link{sched, 0, 1'000'000'000, sim::Time::milliseconds(1), net::make_queue(q), sink};
+    for (int i = 0; i < kPackets; ++i) link.send(p);
+    sched.run();
+    benchmark::DoNotOptimize(sink.delivered);
+  }
+  state.SetItemsProcessed(state.iterations() * kPackets);
+}
+BENCHMARK(BM_LongWire)->Unit(benchmark::kMillisecond);
+
 void BM_FatTreeConstruction(benchmark::State& state) {
   const int k = static_cast<int>(state.range(0));
   for (auto _ : state) {

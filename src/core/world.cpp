@@ -315,11 +315,6 @@ void World::build_hybrid() {
   };
 }
 
-sim::Scheduler* World::boundary_sched(const net::Link& l) {
-  if (fabric == nullptr || !l.is_boundary()) return nullptr;
-  return &fabric->sched(netw.link_dst_shard(l.id()));
-}
-
 // The pattern's generators in checkpoint (WKLD section) order.
 template <class F>
 void World::for_each_saved_generator(F&& f) {
@@ -358,7 +353,7 @@ void World::save(ckpt::Saver& s) {
   }
   s.tag("LNKS");
   s.u64(netw.links().size());
-  for (const auto& l : netw.links()) l->save_state(s, boundary_sched(*l));
+  for (const auto& l : netw.links()) l->save_state(s);
   s.tag("SWCH");
   s.u64(netw.switches().size());
   for (const net::Switch* sw : netw.switches()) sw->save_state(s);
@@ -466,10 +461,7 @@ bool World::restore(ckpt::Loader& l) {
   l.tag("LNKS");
   const std::uint64_t nl = l.u64();
   if (l.ok() && nl != netw.links().size()) return false;
-  for (std::uint64_t i = 0; i < nl && l.ok(); ++i) {
-    net::Link& link = *netw.links()[i];
-    link.restore_state(l, boundary_sched(link));
-  }
+  for (std::uint64_t i = 0; i < nl && l.ok(); ++i) netw.links()[i]->restore_state(l);
   l.tag("SWCH");
   const std::uint64_t nsw = l.u64();
   if (l.ok() && nsw != netw.switches().size()) return false;

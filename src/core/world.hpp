@@ -134,8 +134,6 @@ struct World {
   [[nodiscard]] bool restore(ckpt::Loader& l);
   template <class F>
   void for_each_saved_generator(F&& f);
-  /// The receiving shard's scheduler of a cross-shard link, else null.
-  [[nodiscard]] sim::Scheduler* boundary_sched(const net::Link& l);
   void publish_ckpt_totals();
 
   std::uint64_t ckpt_fp_ = 0;

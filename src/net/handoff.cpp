@@ -35,13 +35,11 @@ std::uint64_t ShardFabric::drain_all() {
       if (src == dst) continue;
       auto& items = channel(src, dst).items_;
       for (RemotePacket& rp : items) {
-        Link* link = rp.link;
-        link->accept_remote_arrival(std::move(rp.pkt), rp.link_epoch);
-        // Captures a single pointer, so the callback stays inline (no
-        // allocation on the handoff path). The id is tracked on the link so
-        // a barrier checkpoint can save the pending delivery's key.
-        link->track_remote_delivery(ds.schedule_at(
-            sim::Time::nanoseconds(rp.deliver_t_ns), [link] { link->remote_deliver_head(); }));
+        // The arrival takes the sequence number its delivery event would
+        // have had if scheduled right here; the link arms only the head of
+        // its parked FIFO and chains the rest.
+        rp.link->accept_remote_arrival(std::move(rp.pkt), rp.link_epoch,
+                                       sim::Scheduler::PendingKey{rp.deliver_t_ns, ds.reserve_seq()});
         ++handed_off;
       }
       items.clear();

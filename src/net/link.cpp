@@ -1,5 +1,6 @@
 #include "net/link.hpp"
 
+#include <algorithm>
 #include <cassert>
 
 #include "net/handoff.hpp"
@@ -21,6 +22,16 @@ void note_drop(sim::Time t, LinkId link, obs::DropCause cause) {
 void note_impair(sim::Time t, LinkId link, obs::ImpairKind kind) {
   if (auto* tr = obs::tracer(); tr != nullptr) [[unlikely]] tr->impair(t, link, kind);
   if (auto* m = obs::metrics(); m != nullptr) [[unlikely]] m->packets_impaired.inc();
+}
+
+using Key = sim::Scheduler::PendingKey;
+
+// schedule_in() that also reports the event's key, so save_state() reads
+// keys from the link itself instead of looking them up in the scheduler.
+sim::EventId schedule_keyed(sim::Scheduler& s, sim::Time delay, Key& key, sim::EventCallback cb) {
+  const sim::Time t = s.now() + delay;
+  key = Key{t.ns(), s.reserve_seq()};
+  return s.restore_at(t, key.seq, std::move(cb));
 }
 
 }  // namespace
@@ -74,9 +85,10 @@ void Link::send(Packet p) {
       ++delayed_;
       note_impair(sched_.now(), id_, v.reorder ? obs::ImpairKind::Reorder : obs::ImpairKind::Delay);
       const std::uint64_t id = next_held_id_++;
+      Key key;
       const sim::EventId ev =
-          sched_.schedule_in(v.delay, [this, id] { release_held(id); });
-      held_.push_back(Held{id, dup, std::move(p), ev});
+          schedule_keyed(sched_, v.delay, key, [this, id] { release_held(id); });
+      held_.push_back(Held{id, dup, std::move(p), ev, key});
       return;
     }
   }
@@ -127,8 +139,8 @@ void Link::start_transmission() {
   if (remote_ != nullptr) {
     // Shard-boundary link: hand the packet to the cross-shard channel; the
     // barrier drain schedules its delivery on the destination shard. The
-    // src-owned mirror keeps conservation accounting (set_down,
-    // live_in_flight) working without touching destination-shard state.
+    // src-owned mirror keeps set_down()'s conservation accounting working
+    // without touching destination-shard state.
     const std::int64_t deliver_t_ns = (sched_.now() + tx + prop_delay_).ns();
     while (!remote_in_flight_.empty() &&
            remote_in_flight_.front().deliver_t_ns + remote_->min_delay_ns() <
@@ -137,19 +149,48 @@ void Link::start_transmission() {
     }
     remote_in_flight_.push_back(RemoteInFlight{deliver_t_ns, epoch_, p.corrupt});
     remote_->push(RemotePacket{this, std::move(p), deliver_t_ns, epoch_});
-    tx_events_.push_back(
-        TxDone{sched_.schedule_in(tx, [this, e = epoch_] { complete_tx(e); }), epoch_});
-    return;
+  } else {
+    // Deliver to the sink after serialization + propagation, under the
+    // sequence number an eagerly scheduled delivery event would have had.
+    const Key key{(sched_.now() + tx + prop_delay_).ns(), sched_.reserve_seq()};
+    push_wire(in_flight_, InFlight{std::move(p), epoch_, key});
   }
-
-  // Deliver to the sink after serialization + propagation. The packet rides
-  // in the in-flight FIFO, so the event captures only `this`.
-  in_flight_.push_back(InFlight{std::move(p), epoch_});
-  delivery_events_.push_back(sched_.schedule_in(tx + prop_delay_, [this] { deliver_head(); }));
   // Transmitter frees up after serialization only; a stale completion from
   // before a set_down() must not restart the (possibly reopened) link.
-  tx_events_.push_back(
-      TxDone{sched_.schedule_in(tx, [this, e = epoch_] { complete_tx(e); }), epoch_});
+  TxDone done{Key{}, epoch_};
+  schedule_keyed(sched_, tx, done.key, [this, e = epoch_] { complete_tx(e); });
+  tx_events_.push_back(done);
+}
+
+void Link::push_wire(Wire& w, InFlight&& f) {
+  std::deque<InFlight>& q = w.fifo;
+  if (q.empty() || q.back().key < f.key) {
+    q.push_back(std::move(f));
+    if (q.size() == 1) arm_head(w);
+    return;
+  }
+  // Keys can only go backwards across a set_down(): the overtaken entries
+  // are stale and will be discarded, but each still owes its dispatch.
+  assert(q.back().epoch != f.epoch && "wire FIFO keys must be (t, seq)-monotone within an epoch");
+  const auto it = std::upper_bound(q.begin(), q.end(), f.key,
+                                   [](const Key& k, const InFlight& e) { return k < e.key; });
+  const bool new_head = it == q.begin();
+  q.insert(it, std::move(f));
+  if (new_head) {
+    sched_of(w).cancel(w.head_ev);
+    arm_head(w);
+  }
+}
+
+void Link::arm_head(Wire& w) {
+  const Key& k = w.fifo.front().key;
+  const sim::Time t = sim::Time::nanoseconds(k.t_ns);
+  // Pointer-sized captures: the callback stays inline (no allocation).
+  if (&w == &in_flight_) {
+    w.head_ev = sched_.restore_at(t, k.seq, [this] { deliver_head(in_flight_); });
+  } else {
+    w.head_ev = dst_sched_->restore_at(t, k.seq, [this] { deliver_head(remote_arrivals_); });
+  }
 }
 
 void Link::complete_tx(std::uint64_t epoch) {
@@ -164,35 +205,17 @@ void Link::complete_tx(std::uint64_t epoch) {
   if (epoch == epoch_) on_transmit_complete();
 }
 
-void Link::remote_deliver_head() {
-  assert(!remote_arrivals_.empty());
-  if (!remote_delivery_events_.empty()) remote_delivery_events_.pop_front();
-  RemoteArrival head = std::move(remote_arrivals_.front());
-  remote_arrivals_.pop_front();
-  if (head.epoch != epoch_) return;  // lost to set_down; counted there
-  // Running on the destination shard's engine: its clock, not sched_'s
-  // (the source shard's), is the delivery time.
-  const sim::Time now = sim::current_scheduler()->now();
-  if (head.pkt.corrupt) {
-    ++drops_.corrupt;  // failed checksum at the receiving end
-    note_drop(now, id_, obs::DropCause::Corrupt);
-    return;
-  }
-  ++delivered_;
-  if (auto* m = obs::metrics(); m != nullptr) [[unlikely]] m->packets_delivered.inc();
-  sink_.receive(std::move(head.pkt));
-}
-
-void Link::deliver_head() {
-  assert(!in_flight_.empty());
-  assert(!delivery_events_.empty());
-  delivery_events_.pop_front();  // this event; stale-epoch entries pop too
-  InFlight head = std::move(in_flight_.front());
-  in_flight_.pop_front();
+void Link::deliver_head(Wire& w) {
+  assert(!w.fifo.empty());
+  InFlight head = std::move(w.fifo.front());
+  w.fifo.pop_front();
+  if (!w.fifo.empty()) arm_head(w);
   if (head.epoch != epoch_) return;  // lost to set_down; counted there
   if (head.pkt.corrupt) {
     ++drops_.corrupt;  // failed checksum at the receiving end
-    note_drop(sched_.now(), id_, obs::DropCause::Corrupt);
+    // A boundary link's delivery time is the destination shard's clock,
+    // not sched_'s (the source shard's).
+    note_drop(sched_of(w).now(), id_, obs::DropCause::Corrupt);
     return;
   }
   ++delivered_;
@@ -217,7 +240,7 @@ void Link::set_down(bool down) {
     // deliver_head must not count again). Attribution is deterministic: a
     // packet already corrupted by a fault dies as `corrupt` wherever it is
     // when the link closes; only clean packets become admin_down.
-    for (const InFlight& f : in_flight_) {
+    for (const InFlight& f : in_flight_.fifo) {
       if (f.epoch == epoch_) ++(f.pkt.corrupt ? drops_.corrupt : drops_.admin_down);
     }
     // Boundary mode: faults apply at barriers, where every event with
@@ -247,7 +270,7 @@ void Link::set_down(bool down) {
   for (StateListener* l : state_listeners_) l->on_link_state(*this, down_);
 }
 
-void Link::save_state(core::ckpt::Saver& s, sim::Scheduler* remote_sched) const {
+void Link::save_state(core::ckpt::Saver& s) const {
   s.b(transmitting_);
   s.b(down_);
   s.u64(bytes_sent_);
@@ -268,34 +291,29 @@ void Link::save_state(core::ckpt::Saver& s, sim::Scheduler* remote_sched) const 
   // Hold buffer: each parked packet re-arms its release event on restore.
   s.u64(held_.size());
   for (const Held& h : held_) {
-    sim::Scheduler::PendingKey k;
-    [[maybe_unused]] const bool live = sched_.key_of(h.ev, k);
-    assert(live && "hold release event lost");
-    s.i64(k.t_ns);
-    s.u64(k.seq);
+    s.i64(h.key.t_ns);
+    s.u64(h.key.seq);
     s.b(h.duplicate);
     save_packet(s, h.pkt);
   }
 
-  assert(in_flight_.size() == delivery_events_.size());
-  s.u64(in_flight_.size());
-  for (std::size_t i = 0; i < in_flight_.size(); ++i) {
-    sim::Scheduler::PendingKey k;
-    [[maybe_unused]] const bool live = sched_.key_of(delivery_events_[i], k);
-    assert(live && "delivery event lost");
-    s.i64(k.t_ns);
-    s.u64(k.seq);
-    s.u64(in_flight_[i].epoch);
-    save_packet(s, in_flight_[i].pkt);
-  }
+  // One (key, epoch, packet) record per entry, the same layout whether the
+  // entry's event is armed (the head) or still chained behind it.
+  const auto save_wire = [&s](const Wire& w) {
+    s.u64(w.fifo.size());
+    for (const InFlight& f : w.fifo) {
+      s.i64(f.key.t_ns);
+      s.u64(f.key.seq);
+      s.u64(f.epoch);
+      save_packet(s, f.pkt);
+    }
+  };
+  save_wire(in_flight_);
 
   s.u64(tx_events_.size());
   for (const TxDone& e : tx_events_) {
-    sim::Scheduler::PendingKey k;
-    [[maybe_unused]] const bool live = sched_.key_of(e.id, k);
-    assert(live && "tx-complete event lost");
-    s.i64(k.t_ns);
-    s.u64(k.seq);
+    s.i64(e.key.t_ns);
+    s.u64(e.key.seq);
     s.u64(e.epoch);
   }
 
@@ -306,21 +324,10 @@ void Link::save_state(core::ckpt::Saver& s, sim::Scheduler* remote_sched) const 
     s.b(f.corrupt);
   }
 
-  assert(remote_arrivals_.size() == remote_delivery_events_.size());
-  s.u64(remote_arrivals_.size());
-  for (std::size_t i = 0; i < remote_arrivals_.size(); ++i) {
-    assert(remote_sched != nullptr && "boundary link needs its destination scheduler");
-    sim::Scheduler::PendingKey k;
-    [[maybe_unused]] const bool live = remote_sched->key_of(remote_delivery_events_[i], k);
-    assert(live && "remote delivery event lost");
-    s.i64(k.t_ns);
-    s.u64(k.seq);
-    s.u64(remote_arrivals_[i].epoch);
-    save_packet(s, remote_arrivals_[i].pkt);
-  }
+  save_wire(remote_arrivals_);
 }
 
-void Link::restore_state(core::ckpt::Loader& l, sim::Scheduler* remote_sched) {
+void Link::restore_state(core::ckpt::Loader& l) {
   transmitting_ = l.b();
   down_ = l.b();  // listeners are NOT notified: their state restores separately
   bytes_sent_ = l.u64();
@@ -347,27 +354,28 @@ void Link::restore_state(core::ckpt::Loader& l, sim::Scheduler* remote_sched) {
     const std::uint64_t id = next_held_id_++;
     const sim::EventId ev =
         sched_.restore_at(sim::Time::nanoseconds(t_ns), seq, [this, id] { release_held(id); });
-    held_.push_back(Held{id, dup, load_packet(l), ev});
+    held_.push_back(Held{id, dup, load_packet(l), ev, Key{t_ns, seq}});
   }
 
-  const std::uint64_t n_flight = l.u64();
-  for (std::uint64_t i = 0; i < n_flight && l.ok(); ++i) {
-    const std::int64_t t_ns = l.i64();
-    const std::uint64_t seq = l.u64();
-    const std::uint64_t epoch = l.u64();
-    in_flight_.push_back(InFlight{load_packet(l), epoch});
-    delivery_events_.push_back(
-        sched_.restore_at(sim::Time::nanoseconds(t_ns), seq, [this] { deliver_head(); }));
-  }
+  // Re-fill a wire in its saved (key) order; only the head gets an event.
+  const auto restore_wire = [this, &l](Wire& w) {
+    const std::uint64_t n = l.u64();
+    for (std::uint64_t i = 0; i < n && l.ok(); ++i) {
+      const std::int64_t t_ns = l.i64();
+      const std::uint64_t seq = l.u64();
+      const std::uint64_t epoch = l.u64();
+      push_wire(w, InFlight{load_packet(l), epoch, Key{t_ns, seq}});
+    }
+  };
+  restore_wire(in_flight_);
 
   const std::uint64_t n_tx = l.u64();
   for (std::uint64_t i = 0; i < n_tx && l.ok(); ++i) {
     const std::int64_t t_ns = l.i64();
     const std::uint64_t seq = l.u64();
     const std::uint64_t epoch = l.u64();
-    tx_events_.push_back(TxDone{
-        sched_.restore_at(sim::Time::nanoseconds(t_ns), seq, [this, epoch] { complete_tx(epoch); }),
-        epoch});
+    sched_.restore_at(sim::Time::nanoseconds(t_ns), seq, [this, epoch] { complete_tx(epoch); });
+    tx_events_.push_back(TxDone{Key{t_ns, seq}, epoch});
   }
 
   const std::uint64_t n_remote = l.u64();
@@ -378,28 +386,17 @@ void Link::restore_state(core::ckpt::Loader& l, sim::Scheduler* remote_sched) {
     remote_in_flight_.push_back(RemoteInFlight{t_ns, epoch, corrupt});
   }
 
-  const std::uint64_t n_arrivals = l.u64();
-  for (std::uint64_t i = 0; i < n_arrivals && l.ok(); ++i) {
-    const std::int64_t t_ns = l.i64();
-    const std::uint64_t seq = l.u64();
-    const std::uint64_t epoch = l.u64();
-    remote_arrivals_.push_back(RemoteArrival{load_packet(l), epoch});
-    assert(remote_sched != nullptr && "boundary link needs its destination scheduler");
-    remote_delivery_events_.push_back(remote_sched->restore_at(
-        sim::Time::nanoseconds(t_ns), seq, [this] { remote_deliver_head(); }));
-  }
+  restore_wire(remote_arrivals_);
 }
 
 std::size_t Link::live_in_flight() const {
+  // Boundary links hold their in-flight packets in remote_arrivals_ once
+  // the channel is drained, which it is at every quiesced instant.
   std::size_t n = 0;
-  for (const InFlight& f : in_flight_) {
-    if (f.epoch == epoch_) ++n;
-  }
-  // Boundary mode (probed only at quiesced instants, where everything with
-  // t <= now has been dispatched): mirror entries still ahead of the clock
-  // are on the wire.
-  for (const RemoteInFlight& f : remote_in_flight_) {
-    if (f.epoch == epoch_ && f.deliver_t_ns > sched_.now().ns()) ++n;
+  for (const Wire* w : {&in_flight_, &remote_arrivals_}) {
+    for (const InFlight& f : w->fifo) {
+      if (f.epoch == epoch_) ++n;
+    }
   }
   return n;
 }

@@ -149,7 +149,9 @@ class Link final {
   [[nodiscard]] std::uint64_t delivered() const { return delivered_; }
   [[nodiscard]] const LinkDropCounters& drops() const { return drops_; }
   /// In-flight packets that will still reach the sink (stale-epoch entries
-  /// were already counted as a drop when the link went down).
+  /// were already counted as a drop when the link went down). Boundary
+  /// links count their parked arrivals, so probe them only at quiesced
+  /// instants (barriers), where the handoff channels are drained.
   [[nodiscard]] std::size_t live_in_flight() const;
   /// Packets parked in the gray-failure hold buffer, awaiting release.
   [[nodiscard]] std::size_t held() const { return held_.size(); }
@@ -165,41 +167,64 @@ class Link final {
 
   // --- sharded (conservative-sync) boundary mode ---
   /// Make this a shard-boundary link: transmitted packets go to `ch`
-  /// instead of the local in-flight FIFO and are delivered on the
-  /// destination shard's scheduler after the barrier drain. Wired once at
-  /// topology construction (net::Network); never in serial runs.
-  void set_remote_handoff(HandoffChannel* ch) { remote_ = ch; }
+  /// instead of the local in-flight FIFO and are delivered on `dst_sched`,
+  /// the destination shard's scheduler, after the barrier drain. Wired once
+  /// at topology construction (net::Network); never in serial runs.
+  void set_remote_handoff(HandoffChannel* ch, sim::Scheduler& dst_sched) {
+    remote_ = ch;
+    dst_sched_ = &dst_sched;
+  }
   [[nodiscard]] bool is_boundary() const { return remote_ != nullptr; }
 
-  /// Park one drained packet for delivery (ShardFabric::drain_all, shards
-  /// quiesced).
-  void accept_remote_arrival(Packet&& pkt, std::uint64_t epoch) {
-    remote_arrivals_.push_back(RemoteArrival{std::move(pkt), epoch});
+  /// Park one drained packet for delivery at `key` on the destination
+  /// scheduler, whose sequence number the caller reserved
+  /// (ShardFabric::drain_all, shards quiesced).
+  void accept_remote_arrival(Packet&& pkt, std::uint64_t epoch, sim::Scheduler::PendingKey key) {
+    push_wire(remote_arrivals_, InFlight{std::move(pkt), epoch, key});
   }
 
-  /// Deliver the oldest parked arrival; runs on the *destination* shard's
-  /// scheduler, so timestamps come from sim::current_scheduler().
-  void remote_deliver_head();
-
-  /// Sharded engine: record the id of a remote_deliver_head() event just
-  /// scheduled against this link (kept 1:1 FIFO with the parked arrivals
-  /// for checkpointing).
-  void track_remote_delivery(sim::EventId id) { remote_delivery_events_.push_back(id); }
-
   /// Checkpoint the link: queue contents, counters, in-flight packets and
-  /// the (time, sequence) keys of the pending delivery / transmit-complete
-  /// events. On restore the events are re-armed under their original keys,
-  /// so dispatch order is unchanged. `remote_sched` is the destination
-  /// shard's engine for boundary links (their parked deliveries live
-  /// there); null for serial links.
-  void save_state(core::ckpt::Saver& s, sim::Scheduler* remote_sched = nullptr) const;
-  void restore_state(core::ckpt::Loader& l, sim::Scheduler* remote_sched = nullptr);
+  /// the (time, sequence) keys of the pending hold-release, delivery and
+  /// transmit-complete events. On restore the events are re-armed under
+  /// their original keys, so dispatch order is unchanged.
+  void save_state(core::ckpt::Saver& s) const;
+  void restore_state(core::ckpt::Loader& l);
 
  private:
+  /// One packet on the wire (or parked for a cross-shard delivery) with
+  /// the (time, sequence) key its delivery event got when the packet
+  /// entered the FIFO. Stale-epoch entries (the link went down underneath
+  /// them) stay until their key comes up and are then discarded.
+  struct InFlight {
+    Packet pkt;
+    std::uint64_t epoch;
+    sim::Scheduler::PendingKey key;
+  };
+  /// A delivery FIFO in key order. Only its head has an event in the
+  /// scheduler; delivering the head re-arms the next entry under that
+  /// entry's own key, so dispatch order and event count are exactly those
+  /// of one event per packet while the heap holds one event per wire.
+  struct Wire {
+    std::deque<InFlight> fifo;
+    sim::EventId head_ev = sim::kInvalidEventId;
+  };
+
+  /// Append `f` to `w`, arming it if it is the new head. Within one link
+  /// epoch keys strictly increase; only a link reopened within one
+  /// serialization time can put a live packet ahead of stale ones, which
+  /// then takes its sorted place.
+  void push_wire(Wire& w, InFlight&& f);
+  void arm_head(Wire& w);
+  void deliver_head(Wire& w);
+  /// The scheduler running `w`'s events: the destination shard's for a
+  /// boundary link's parked arrivals.
+  [[nodiscard]] sim::Scheduler& sched_of(const Wire& w) {
+    return &w == &in_flight_ ? sched_ : *dst_sched_;
+  }
+
   void start_transmission();
   void on_transmit_complete();
   void complete_tx(std::uint64_t epoch);
-  void deliver_head();
   /// Enqueue for transmission after the verdict's entry effects; `dup`
   /// materializes the clone right behind the original.
   void enqueue_for_tx(Packet&& p, bool dup);
@@ -226,16 +251,9 @@ class Link final {
   std::vector<StateListener*> state_listeners_;
 
   /// Packets serialized onto the wire, awaiting delivery at the sink.
-  /// Propagation delay is constant, so deliveries are FIFO; each scheduled
-  /// delivery event pops exactly one entry, and entries stamped with a
-  /// stale epoch (the link went down underneath them) are discarded. This
-  /// keeps the per-packet event captures pointer-sized (no heap
-  /// allocation in std::function).
-  struct InFlight {
-    Packet pkt;
-    std::uint64_t epoch;
-  };
-  std::deque<InFlight> in_flight_;
+  /// Propagation delay is constant and a transmission starts only after
+  /// the previous one ends, so deliveries are FIFO.
+  Wire in_flight_;
 
   /// Gray-failure hold buffer: packets parked at link *entry* (before the
   /// egress queue) by a Delay/Reorder verdict. Entries are id-keyed so the
@@ -248,6 +266,7 @@ class Link final {
     bool duplicate;  ///< clone on release (deferred with the original)
     Packet pkt;
     sim::EventId ev;
+    sim::Scheduler::PendingKey key;  ///< ev's key, for checkpointing
   };
   std::deque<Held> held_;
   std::uint64_t next_held_id_ = 0;
@@ -259,6 +278,7 @@ class Link final {
   // only at barriers with every shard quiesced. Distinct members, so no
   // two threads ever touch the same word. ---
   HandoffChannel* remote_ = nullptr;
+  sim::Scheduler* dst_sched_ = nullptr;  ///< runs remote_arrivals_' events
 
   /// src-owned conservation mirror of packets handed to the channel; lets
   /// set_down() count still-propagating cross-shard packets as admin_down
@@ -273,27 +293,18 @@ class Link final {
   };
   std::deque<RemoteInFlight> remote_in_flight_;
 
-  /// dst-consumed FIFO of packets scheduled for delivery at the barrier.
-  struct RemoteArrival {
-    Packet pkt;
-    std::uint64_t epoch;
-  };
-  std::deque<RemoteArrival> remote_arrivals_;
+  /// dst-consumed FIFO of packets drained at a barrier, awaiting delivery
+  /// on dst_sched_.
+  Wire remote_arrivals_;
 
-  // --- checkpoint bookkeeping (never read by the simulation itself) ---
-  /// Pending deliver_head events, 1:1 FIFO with in_flight_ (stale-epoch
-  /// entries included: their events are still pending and pop both deques).
-  std::deque<sim::EventId> delivery_events_;
-  /// Pending transmit-complete events by epoch. At most one per epoch, but
-  /// stale-epoch events linger until they fire, so this is a (tiny) vector.
+  /// Pending transmit-complete events by epoch, kept for checkpointing. At
+  /// most one per epoch, but stale-epoch events linger until they fire, so
+  /// this is a (tiny) vector.
   struct TxDone {
-    sim::EventId id;
+    sim::Scheduler::PendingKey key;
     std::uint64_t epoch;
   };
   std::vector<TxDone> tx_events_;
-  /// Pending remote_deliver_head events, 1:1 FIFO with remote_arrivals_
-  /// (boundary links; populated via track_remote_delivery).
-  std::deque<sim::EventId> remote_delivery_events_;
 
   bool transmitting_ = false;
   bool down_ = false;

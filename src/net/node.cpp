@@ -11,7 +11,14 @@ std::size_t Switch::add_port(Link& out) {
 
 void Switch::set_host_route(NodeId host, std::size_t port) {
   assert(port < ports_.size());
-  host_route_[host] = port;
+  if (host_route_.empty()) route_base_ = host;
+  if (host < route_base_) {
+    host_route_.insert(host_route_.begin(), route_base_ - host, 0);
+    route_base_ = host;
+  }
+  const std::size_t off = host - route_base_;
+  if (off >= host_route_.size()) host_route_.resize(off + 1, 0);
+  host_route_[off] = static_cast<std::uint32_t>(port + 1);
 }
 
 void Switch::add_up_port(std::size_t port) {
@@ -20,10 +27,10 @@ void Switch::add_up_port(std::size_t port) {
 }
 
 void Switch::receive(Packet p) {
-  const auto it = host_route_.find(p.dst);
+  const NodeId off = p.dst - route_base_;  // wraps below the base: no route
   std::size_t out;
-  if (it != host_route_.end()) {
-    out = it->second;
+  if (off < host_route_.size() && host_route_[off] != 0) {
+    out = host_route_[off] - 1;
   } else if (selector_ != nullptr) {
     out = selector_->select_up_port(p);
     if (out == PortSelector::kNoPort) {

@@ -85,7 +85,11 @@ class Switch final : public Node {
 
  private:
   std::vector<Link*> ports_;
-  std::unordered_map<NodeId, std::size_t> host_route_;
+  /// Exact downward routes, flat over the host ids [route_base_,
+  /// route_base_ + size): port + 1, or 0 for "no route". Fat-tree host ids
+  /// are contiguous, so this spans k/2 (edge) to k^3/4 (core) entries.
+  std::vector<std::uint32_t> host_route_;
+  NodeId route_base_ = 0;
   std::vector<std::size_t> up_ports_;
   UpPortPolicy up_policy_ = UpPortPolicy::Hashed;
   PortSelector* selector_ = nullptr;

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <atomic>
+#include <compare>
 #include <cstdint>
 #include <vector>
 
@@ -119,16 +120,26 @@ class Scheduler {
   struct PendingKey {
     std::int64_t t_ns = 0;
     std::uint64_t seq = 0;
+    /// Lexicographic (t, seq): exactly the dispatch order.
+    friend auto operator<=>(const PendingKey&, const PendingKey&) = default;
   };
 
   /// Fetch the (time, sequence) key of a pending event. Returns false if
   /// `id` no longer names a pending event.
   [[nodiscard]] bool key_of(EventId id, PendingKey& out) const;
 
-  /// Re-arm an event from a checkpoint under its original sequence number
-  /// (restore-time only; `seq` must come from key_of() on the saving side,
-  /// and restore_clock() must already have advanced next_seq_ past it).
+  /// Insert an event under an explicit sequence number: either a
+  /// checkpointed one (key_of() on the saving side; restore_clock() must
+  /// already have advanced next_seq_ past it) or one taken earlier from
+  /// reserve_seq(). The event dispatches exactly where an eager
+  /// schedule_at() made at reservation time would have.
   EventId restore_at(Time t, std::uint64_t seq, Callback cb);
+
+  /// Take the sequence number the next schedule_at() would have used,
+  /// without inserting anything. Lets a module keep a FIFO of future
+  /// events off the heap and arm only its head, each under the key it
+  /// would have had (net::Link's wire FIFO).
+  [[nodiscard]] std::uint64_t reserve_seq() { return next_seq_++; }
 
   /// Restore the clock, sequence counter and dispatch count saved by a
   /// checkpoint. Must be called on a virgin scheduler before any
@@ -192,7 +203,7 @@ class Scheduler {
 
   /// Route an entry for `idx` at time `t` under sequence `seq` to the tail
   /// (O(1) monotone fast path) or the heap. schedule_at passes next_seq_++;
-  /// restore_at passes the checkpointed sequence.
+  /// restore_at passes a checkpointed or reserved sequence.
   void insert_entry(std::uint32_t idx, Time t, std::uint64_t seq);
 
   [[nodiscard]] bool external_stop() const {
@@ -226,8 +237,8 @@ class Scheduler {
 namespace detail {
 /// Scheduler whose run loop is executing on this thread (nullptr outside a
 /// run loop). Lets code that may run on behalf of a *remote* shard — e.g. a
-/// boundary link delivering into its destination shard — read the clock of
-/// the engine actually dispatching it instead of the one it was built with.
+/// flow finishing on its receiver's shard — read the clock of the engine
+/// actually dispatching it instead of the one it was built with.
 inline thread_local Scheduler* tls_scheduler = nullptr;
 }  // namespace detail
 

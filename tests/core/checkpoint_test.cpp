@@ -18,6 +18,8 @@
 #include <vector>
 
 #include "core/experiment.hpp"
+#include "net/handoff.hpp"
+#include "net/link.hpp"
 #include "sim/scheduler.hpp"
 
 namespace xmp::core {
@@ -240,6 +242,96 @@ TEST(Checkpoint, SchedulerPendingKeyRoundTrip) {
   EXPECT_EQ(replay, (std::vector<int>{2, 3}));
   EXPECT_EQ(b.now().ns(), Time::microseconds(50).ns());
   EXPECT_EQ(b.dispatched(), a.dispatched() + 2);
+}
+
+// --- LNKS: wire state of one local and one boundary link ---
+
+/// Holds packet uid 4 at link entry for 500 us (a gray-failure delay), so
+/// the hold buffer has an entry to checkpoint as well.
+class HoldUid4 final : public net::Link::FaultHook {
+ public:
+  net::Link::FaultVerdict on_send(const net::Packet& p) override {
+    net::Link::FaultVerdict v;
+    if (p.uid == 4) v.delay = sim::Time::microseconds(500);
+    return v;
+  }
+};
+
+class DiscardSink final : public net::PacketSink {
+ public:
+  void receive(net::Packet /*p*/) override {}
+};
+
+/// A local link with a long wire and a boundary link from shard 0 to shard
+/// 1 whose drained packets wait in the destination-side FIFO.
+struct WireRig {
+  net::ShardFabric fabric{2};
+  DiscardSink sink;
+  HoldUid4 hold;
+  net::Link local{fabric.sched(0), 0, 1'000'000'000, sim::Time::microseconds(100),
+                  net::make_queue(net::QueueConfig{}), sink};
+  net::Link boundary{fabric.sched(0), 1, 1'000'000'000, sim::Time::microseconds(12),
+                     net::make_queue(net::QueueConfig{}), sink};
+
+  WireRig() {
+    fabric.note_cross_link(0, 1, boundary.prop_delay(), boundary.id());
+    boundary.set_remote_handoff(&fabric.channel(0, 1), fabric.sched(1));
+  }
+  [[nodiscard]] std::string save() const {
+    ckpt::Saver s;
+    local.save_state(s);
+    boundary.save_state(s);
+    return s.data();
+  }
+};
+
+// save -> restore -> save of links with several packets on the wire, a
+// held packet, a pending transmit-complete and parked cross-shard arrivals
+// reproduces the bytes exactly, and those bytes are the LNKS layout of the
+// engine that kept one scheduler event per packet (CRC pinned from it), so
+// the checkpoint format did not change.
+TEST(Checkpoint, LinkWireStateRoundTripsByteIdentical) {
+  WireRig a;
+  a.local.set_fault_hook(&a.hold);
+  for (std::uint64_t uid = 0; uid < 5; ++uid) {
+    net::Packet p;
+    p.uid = uid;
+    p.size_bytes = net::kDataPacketBytes;
+    a.local.send(p);
+    a.boundary.send(p);
+  }
+  // Transmissions start at 0, 12, 24 and 36 us on both links.
+  a.fabric.sched(0).run_before(sim::Time::microseconds(40));
+  ASSERT_EQ(a.fabric.drain_all(), 4u);
+  ASSERT_EQ(a.local.live_in_flight(), 4u);
+  ASSERT_EQ(a.local.held(), 1u);
+  ASSERT_EQ(a.boundary.live_in_flight(), 4u);
+  const std::string bytes = a.save();
+  EXPECT_EQ(ckpt::crc32(bytes.data(), bytes.size()), 0x6a563bbeu);
+
+  WireRig b;
+  for (int s = 0; s < 2; ++s) {
+    const sim::Scheduler& src = a.fabric.sched(s);
+    b.fabric.sched(s).restore_clock(src.now(), src.next_seq(), src.dispatched());
+  }
+  ckpt::Loader l{bytes};
+  b.local.restore_state(l);
+  b.boundary.restore_state(l);
+  ASSERT_TRUE(l.done());
+  EXPECT_EQ(b.save(), bytes);
+  // Each wire arms only its head; the shard-0 heap also holds both
+  // transmit-completes and the hold release.
+  EXPECT_EQ(b.fabric.sched(0).pending(), 4u);
+  EXPECT_EQ(b.fabric.sched(1).pending(), 1u);
+
+  // Both copies finish identically.
+  for (WireRig* r : {&a, &b}) {
+    for (int s = 0; s < 2; ++s) r->fabric.sched(s).run_until(sim::Time::milliseconds(1));
+  }
+  EXPECT_EQ(b.local.delivered(), a.local.delivered());
+  EXPECT_EQ(b.boundary.delivered(), a.boundary.delivered());
+  EXPECT_EQ(b.fabric.total_dispatched(), a.fabric.total_dispatched());
+  EXPECT_EQ(b.save(), a.save());
 }
 
 }  // namespace

@@ -20,9 +20,11 @@
 
 #include <cmath>
 #include <string>
+#include <vector>
 
 #include "faults/fault_plan.hpp"
 #include "net/handoff.hpp"
+#include "net/link.hpp"
 #include "net/network.hpp"
 #include "sim/scheduler.hpp"
 
@@ -250,6 +252,86 @@ TEST(ShardedEngineDeath, RandomPatternExits2) {
   cfg.pattern = Pattern::Random;
   EXPECT_EXIT((void)run_experiment(cfg), ::testing::ExitedWithCode(2),
               "sharded engine supports the Permutation pattern only");
+}
+
+// --- boundary links on a bare two-shard fabric (no experiment around) ---
+
+/// Records arrival instants on the destination shard's clock.
+class ArrivalSink final : public net::PacketSink {
+ public:
+  explicit ArrivalSink(sim::Scheduler& s) : sched_{s} {}
+  void receive(net::Packet /*p*/) override { at.push_back(sched_.now()); }
+  std::vector<sim::Time> at;
+
+ private:
+  sim::Scheduler& sched_;
+};
+
+/// One 1 Gbps boundary link from shard 0 to shard 1 with a 12 us delay.
+struct BoundaryRig {
+  net::ShardFabric fabric{2};
+  ArrivalSink sink{fabric.sched(1)};
+  net::Link link{fabric.sched(0), 0, 1'000'000'000, sim::Time::microseconds(12),
+                 net::make_queue(net::QueueConfig{}), sink};
+
+  BoundaryRig() {
+    fabric.note_cross_link(0, 1, link.prop_delay(), link.id());
+    link.set_remote_handoff(&fabric.channel(0, 1), fabric.sched(1));
+  }
+  void send(int n) {
+    for (int i = 0; i < n; ++i) {
+      net::Packet p;
+      p.uid = static_cast<std::uint64_t>(i);
+      p.size_bytes = net::kDataPacketBytes;
+      link.send(p);
+    }
+  }
+  /// One conservative-sync epoch ending at `b`: run both shards, drain the
+  /// channels, align the clocks.
+  void epoch_to(sim::Time b) {
+    for (int s = 0; s < 2; ++s) fabric.sched(s).run_before(b);
+    fabric.drain_all();
+    for (int s = 0; s < 2; ++s) fabric.sched(s).advance_clock_to(b);
+  }
+};
+
+// A packet due exactly at a barrier is neither delivered (run_before
+// excludes the barrier instant) nor lost, so the conservation law must see
+// it in flight there.
+TEST(ShardFabric, BoundaryPacketDueAtBarrierCountsAsInFlight) {
+  BoundaryRig rig;
+  rig.send(1);  // 12 us serialization + 12 us propagation: due at 24 us
+  rig.epoch_to(sim::Time::microseconds(12));
+  rig.epoch_to(sim::Time::microseconds(24));
+  EXPECT_EQ(rig.link.offered(), 1u);
+  EXPECT_EQ(rig.link.delivered(), 0u);
+  EXPECT_EQ(rig.link.queue().len_packets(), 0u);
+  EXPECT_EQ(rig.link.live_in_flight(), 1u);
+  rig.epoch_to(sim::Time::microseconds(36));
+  EXPECT_EQ(rig.link.delivered(), 1u);
+  EXPECT_EQ(rig.link.live_in_flight(), 0u);
+  EXPECT_EQ(rig.sink.at, (std::vector<sim::Time>{sim::Time::microseconds(24)}));
+}
+
+// Parked cross-shard arrivals chain like a local wire: the destination
+// scheduler holds one event for the whole FIFO, and each arrival still
+// lands at its own instant.
+TEST(ShardFabric, ParkedArrivalsArmOneEventPerLink) {
+  BoundaryRig rig;
+  rig.send(5);
+  // Transmissions start at 0, 12, 24, 36 and 48 us; all five are in the
+  // channel before 60 us and none is due before 24 us.
+  rig.fabric.sched(0).run_before(sim::Time::microseconds(60));
+  EXPECT_EQ(rig.fabric.drain_all(), 5u);
+  EXPECT_EQ(rig.fabric.sched(1).pending(), 1u);
+  EXPECT_EQ(rig.link.live_in_flight(), 5u);
+  rig.fabric.sched(1).run_until(sim::Time::microseconds(100));
+  EXPECT_EQ(rig.sink.at, (std::vector<sim::Time>{
+                             sim::Time::microseconds(24), sim::Time::microseconds(36),
+                             sim::Time::microseconds(48), sim::Time::microseconds(60),
+                             sim::Time::microseconds(72)}));
+  EXPECT_EQ(rig.fabric.sched(1).dispatched(), 5u);
+  EXPECT_EQ(rig.link.delivered(), 5u);
 }
 
 }  // namespace

@@ -201,5 +201,44 @@ TEST(Scheduler, CancelledHeadDoesNotBlockRunUntil) {
   EXPECT_TRUE(ran);
 }
 
+// An event inserted later under a reserved sequence number dispatches
+// exactly where an eagerly scheduled one would have, including among equal
+// timestamps; the sequence counter and dispatch count do not notice.
+TEST(Scheduler, ReservedSeqDispatchesLikeEagerSchedule) {
+  struct Outcome {
+    std::vector<int> order;
+    std::uint64_t next_seq;
+    std::uint64_t dispatched;
+  };
+  const auto run = [](bool deferred) {
+    Scheduler s;
+    std::vector<int> order;
+    const auto mark = [&order](int v) { return [&order, v] { order.push_back(v); }; };
+    s.schedule_at(Time::microseconds(10), mark(1));
+    std::uint64_t seq = 0;
+    if (deferred) {
+      seq = s.reserve_seq();
+    } else {
+      s.schedule_at(Time::microseconds(10), mark(2));
+    }
+    s.schedule_at(Time::microseconds(10), mark(3));
+    s.schedule_at(Time::microseconds(5), mark(0));
+    // Both variants schedule this trigger, so the sequence streams match;
+    // only the deferred one inserts the reserved event from inside it.
+    s.schedule_at(Time::microseconds(7), [&s, &mark, deferred, seq] {
+      if (deferred) s.restore_at(Time::microseconds(10), seq, mark(2));
+    });
+    s.schedule_at(Time::microseconds(10), mark(4));
+    s.run();
+    return Outcome{order, s.next_seq(), s.dispatched()};
+  };
+  const Outcome eager = run(false);
+  const Outcome deferred = run(true);
+  EXPECT_EQ(eager.order, (std::vector<int>{0, 1, 2, 3, 4}));
+  EXPECT_EQ(deferred.order, eager.order);
+  EXPECT_EQ(deferred.next_seq, eager.next_seq);
+  EXPECT_EQ(deferred.dispatched, eager.dispatched);
+}
+
 }  // namespace
 }  // namespace xmp::sim
