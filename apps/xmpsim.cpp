@@ -39,7 +39,8 @@
 //       only; incompatible with --coexist, --routing=flowlet,
 //       --invariants and --rehome.
 //       --checkpoint-every=T writes a verified snapshot (ckpt_<seq>.bin in
-//       --checkpoint-dir, default ".") every T *simulated* seconds at a
+//       --checkpoint-dir, default "."; it must already exist, or the run
+//       exits 2) every T *simulated* seconds at a
 //       quiescent point; --restore=FILE resumes a run from a snapshot and
 //       produces summary/trace/metrics byte-identical to the uninterrupted
 //       run. SIGTERM halts at the next quiescent point, writes a final
@@ -136,6 +137,7 @@
 // range, then exits 2 (never an assert).
 
 #include <csignal>
+#include <sys/stat.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -545,8 +547,12 @@ core::ExperimentConfig config_from(const Args& args, bool& ok) {
   cfg.checkpoint.every =
       sim::Time::seconds(flag_d(args, "checkpoint-every", 0.0, 1e-6, 3600, ok));
   cfg.checkpoint.dir = args.get("checkpoint-dir", ".");
-  if (cfg.checkpoint.dir.empty()) {
-    std::fprintf(stderr, "xmpsim: bad --checkpoint-dir= (expected a directory path)\n");
+  if (struct stat st{}; ::stat(cfg.checkpoint.dir.c_str(), &st) != 0 || !S_ISDIR(st.st_mode)) {
+    // Checked here, not at the first write: a missing directory would
+    // otherwise lose every snapshot while the run still exits 0. Plain
+    // stat(): std::filesystem on every run's path added ~140 KB of peak RSS.
+    std::fprintf(stderr, "xmpsim: bad --checkpoint-dir=%s (not an existing directory)\n",
+                 cfg.checkpoint.dir.c_str());
     ok = false;
     cfg.checkpoint.dir = ".";
   }

@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <string>
+#include <vector>
 
 #include "core/checkpoint.hpp"
 #include "core/xmp.hpp"
@@ -44,6 +45,71 @@ void BM_SchedulerTimerChurn(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 10000);
 }
 BENCHMARK(BM_SchedulerTimerChurn);
+
+void BM_SchedulerDelayMix(benchmark::State& state) {
+  // The insert-delay mix of a k=8 fat-tree permutation run at about
+  // state.range(0) pending events: 25% under 0.5 µs (ACK serialization),
+  // 60% at 8-16 µs (data serialization, re-armed wire heads), 10% at
+  // 16-65 µs, 2% at 0.5-8 µs and a rare 200 ms RTO. On top of that, 2.9%
+  // of dispatches re-arm a 1 ms delayed-ACK timer, cancelling the
+  // receiver's previous one if it is still pending (it nearly always is).
+  // Every dispatch schedules one successor, so the population is steady.
+  constexpr int kEvents = 200'000;
+  constexpr std::size_t kTable = 4096;
+  struct Mix {
+    sim::Scheduler* sched = nullptr;
+    std::vector<sim::Time> delays;     ///< successor delays, cycled
+    std::vector<std::uint8_t> rearm;   ///< whether this dispatch re-arms a timer
+    std::vector<sim::EventId> timers;  ///< one delayed-ACK timer per receiver
+    std::size_t next = 0;
+    int left = kEvents;
+    void fire() {
+      const std::size_t i = next++ % kTable;
+      if (rearm[i] != 0) {
+        sim::EventId& timer = timers[i % timers.size()];
+        sched->cancel(timer);
+        timer = sched->schedule_in(sim::Time::milliseconds(1), [] {});
+      }
+      if (--left == 0) sched->stop();
+      sched->schedule_in(delays[i], [this] { fire(); });
+    }
+  };
+  const auto target = static_cast<std::size_t>(state.range(0));
+  sim::Rng rng{42};
+  Mix mix;
+  for (std::size_t i = 0; i < kTable; ++i) {
+    const double u = rng.uniform01();
+    std::int64_t ns = 0;
+    if (u < 0.25) {
+      ns = rng.uniform_int(0, 499);
+    } else if (u < 0.85) {
+      ns = rng.uniform_int(8'000, 16'000);
+    } else if (u < 0.95) {
+      ns = rng.uniform_int(16'000, 65'000);
+    } else if (u < 0.9999) {
+      ns = rng.uniform_int(500, 8'000);
+    } else {
+      ns = 200'000'000;
+    }
+    mix.delays.push_back(sim::Time::nanoseconds(ns));
+    mix.rearm.push_back(rng.uniform01() < 0.029 ? 1 : 0);
+  }
+  for (auto _ : state) {
+    sim::Scheduler sched;
+    mix.sched = &sched;
+    mix.next = 0;
+    mix.left = kEvents;
+    // About one receiver timer per eight chained events.
+    mix.timers.assign(target / 8, sim::kInvalidEventId);
+    for (std::size_t i = 0; i < target - target / 8; ++i) {
+      sched.schedule_at(mix.delays[(i * 7) % kTable], [&mix] { mix.fire(); });
+    }
+    sched.run();
+    benchmark::DoNotOptimize(sched.dispatched());
+  }
+  state.SetItemsProcessed(state.iterations() * kEvents);
+}
+BENCHMARK(BM_SchedulerDelayMix)->Arg(180)->Arg(700)->Unit(benchmark::kMillisecond);
 
 void BM_EcnQueueEnqueueDequeue(benchmark::State& state) {
   net::EcnThresholdQueue q{100, 10};

@@ -4,8 +4,9 @@
 # timeline CSV, metrics dump AND stdout summary to be byte-for-byte identical
 # to an uninterrupted reference run — in the serial engine and at --shards=2.
 # Then damage the newest snapshot and require a clean one-line exit-2
-# rejection, and exercise the SIGTERM path (final checkpoint + exit 143) and
-# `xmpsim replay` on the snapshot it leaves behind.
+# rejection (and the same for a missing --checkpoint-dir), and exercise
+# the SIGTERM path (final checkpoint + exit 143) and `xmpsim replay` on the
+# snapshot it leaves behind.
 #
 #   scripts/ckpt_smoke.sh [build-dir]   # default: build
 set -euo pipefail
@@ -92,6 +93,27 @@ grep -q "restore failed" "$tmp/reject-err.txt" || {
   exit 1
 }
 echo "corrupt snapshot rejected with exit 2"
+
+echo "== ckpt smoke: unusable --checkpoint-dir rejected at parse time =="
+# A directory that does not exist, or a path that is a regular file, must
+# be a one-line exit-2 rejection before anything runs, never a run that
+# loses every snapshot and still exits 0.
+touch "$tmp/not-a-dir"
+for dir in "$tmp/nonexist" "$tmp/not-a-dir"; do
+  set +e
+  "$bin" run --k=4 --duration=0.01 --checkpoint-every=0.002 "--checkpoint-dir=$dir" \
+    > "$tmp/dir-out.txt" 2> "$tmp/dir-err.txt"
+  rc=$?
+  set -e
+  [ "$rc" -eq 2 ] || { echo "FAIL: --checkpoint-dir=$dir exited $rc, want 2" >&2; exit 1; }
+  [ "$(wc -l < "$tmp/dir-err.txt")" -eq 1 ] && grep -q -- "--checkpoint-dir" "$tmp/dir-err.txt" || {
+    echo "FAIL: --checkpoint-dir=$dir: want a one-line reason on stderr, got:" >&2
+    cat "$tmp/dir-err.txt" >&2
+    exit 1
+  }
+done
+[ ! -e "$tmp/nonexist" ] || { echo "FAIL: a rejected run created its checkpoint dir" >&2; exit 1; }
+echo "missing or non-directory --checkpoint-dir rejected with exit 2"
 
 echo "== ckpt smoke: SIGTERM writes a final snapshot and exits 143 =="
 term_dir="$tmp/term"; mkdir -p "$term_dir"

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <compare>
 #include <cstdint>
@@ -27,18 +28,28 @@ inline constexpr EventId kInvalidEventId = 0;
 /// pieces:
 ///  - a slab of callback slots (EventCallback small-buffer storage, no
 ///    heap allocation per event) recycled through a free list;
-///  - an indexed 4-ary min-heap of 16-byte (time, sequence|slot) keys;
-///    per-slot positions live in a dense side array, so cancel() and
-///    reschedule() are O(log n) in place — no tombstones, no
-///    skip-on-pop hash lookups;
-///  - a monotone tail: while the heap is empty, events scheduled in
-///    non-decreasing time order append to a sorted vector and pop from
-///    its front, making the common schedule-ahead / drain pattern O(1)
-///    per event instead of O(log n).
+///  - a near tier: a ring of 2^kRingBits buckets, each one tick
+///    (2^kTickBits ns) wide, covering the window [cursor, cursor + span).
+///    A bucket is an intrusive singly linked list of slot indices kept in
+///    (time, sequence) order, so an insert appends at its tail in the
+///    common case; an occupancy bitmap finds the first non-empty bucket
+///    without visiting empty ones. Packet serialization, propagation and re-armed
+///    wire heads (sub-µs to tens of µs ahead) all land here;
+///  - a far tier: an indexed 4-ary min-heap of 16-byte (time,
+///    sequence|slot) keys for events at or beyond the window (delayed-ACK
+///    and retransmission timers). Per-slot positions live in a dense side
+///    array, so cancel() and reschedule() work in place on either tier —
+///    no tombstones, and pending() is an exact count.
 ///
-/// Dispatch order is defined purely by the (time, sequence) key, so the
-/// tail is invisible to results: any run dispatches identically to a
-/// pure-heap engine.
+/// Popping an event moves the cursor to its tick; far events that then fall
+/// inside the window migrate into the ring, so every ring entry is earlier
+/// than every far entry. While the ring is empty, an insert beyond the
+/// window slides the window up to it instead of going far (a lone timer
+/// re-armed over and over stays O(1)); a later insert below the cursor
+/// spills the ring into the heap and restarts the window at the clock.
+/// Dispatch order is defined purely by the unique (time, sequence) key, so
+/// the split is invisible to results: any run dispatches identically to a
+/// single priority queue.
 class Scheduler {
  public:
   using Callback = EventCallback;
@@ -83,7 +94,7 @@ class Scheduler {
   bool step_one();
 
   /// Timestamp of the earliest pending event, or Time::infinity() if none.
-  [[nodiscard]] Time next_time();
+  [[nodiscard]] Time next_time() const;
 
   /// Move the clock forward to `t` (no-op if already past). Barriers use
   /// this to align every shard's clock on the epoch boundary so that
@@ -150,15 +161,32 @@ class Scheduler {
   [[nodiscard]] std::uint64_t next_seq() const { return next_seq_; }
 
   /// Number of live (not yet fired, not cancelled) events.
-  [[nodiscard]] std::size_t pending() const { return heap_.size() + tail_live_; }
+  [[nodiscard]] std::size_t pending() const { return heap_.size() + ring_live_; }
 
   /// Total events dispatched so far (for micro-benchmarks and tests).
   [[nodiscard]] std::uint64_t dispatched() const { return dispatched_; }
 
+  /// Width of one near-tier bucket (256 ns) and of the whole near window
+  /// (512 buckets, 131 µs). The window holds every serialization and
+  /// propagation delay of a 1 Gbps fat-tree and leaves delayed-ACK (1 ms)
+  /// and retransmission timers to the heap; narrow buckets keep a busy
+  /// fabric's sorted inserts short.
+  static constexpr int kTickBits = 8;
+  static constexpr int kRingBits = 9;
+  static constexpr Time kTick = Time::nanoseconds(std::int64_t{1} << kTickBits);
+  static constexpr Time kSpan = Time::nanoseconds(std::int64_t{1} << (kTickBits + kRingBits));
+
+  /// Full structural check of both tiers (bitmap matches buckets, buckets
+  /// sorted, ring_live_ exact, every entry's tick inside its tier's range,
+  /// heap order and positions). Returns nullptr when everything holds, or a
+  /// description of the first violation. O(pending + buckets): for tests
+  /// and debugging, never called on the hot path.
+  [[nodiscard]] const char* check_invariants() const;
+
  private:
   static constexpr std::uint32_t kNullPos = 0xffffffffu;
-  /// pos_ values >= kTailFlag locate the event inside tail_ instead of heap_.
-  static constexpr std::uint32_t kTailFlag = 0x80000000u;
+  /// pos_ value of an event in the near ring (its bucket follows from its time).
+  static constexpr std::uint32_t kInRing = 0xfffffffeu;
   static constexpr std::size_t kArity = 4;
   /// Heap keys pack (sequence << kSlotBits) | slot into one word: the
   /// monotone sequence makes FIFO ties exact, the slot rides along for
@@ -166,6 +194,9 @@ class Scheduler {
   /// magnitude beyond any run we do; both are asserted.
   static constexpr std::uint32_t kSlotBits = 24;
   static constexpr std::uint64_t kSlotMask = (1u << kSlotBits) - 1;
+  static constexpr std::int64_t kRingSize = std::int64_t{1} << kRingBits;
+  static constexpr std::size_t kRingMask = static_cast<std::size_t>(kRingSize) - 1;
+  static_assert(kRingBits >= 6, "the occupancy bitmap is made of whole 64-bit words");
 
   /// Slab slot: callback storage plus the generation that validates ids.
   struct Slot {
@@ -185,6 +216,11 @@ class Scheduler {
     return a.key < b.key;  // seq occupies the high bits: FIFO among equal times
   }
 
+  [[nodiscard]] static std::int64_t tick_of(std::int64_t t_ns) { return t_ns >> kTickBits; }
+  [[nodiscard]] static std::size_t bucket_of(std::int64_t t_ns) {
+    return static_cast<std::size_t>(tick_of(t_ns)) & kRingMask;
+  }
+
   /// Decode an EventId; returns the slot index if it names a pending event,
   /// kNullPos otherwise.
   [[nodiscard]] std::uint32_t pending_slot_of(EventId id) const;
@@ -199,20 +235,33 @@ class Scheduler {
   void sift_down(std::size_t pos);
   void restore(std::size_t pos);
   void heap_erase(std::size_t pos);
-  void push_entry(const HeapEntry& e);
+  /// Remove the heap root (the earliest far event).
+  void heap_pop();
 
-  /// Route an entry for `idx` at time `t` under sequence `seq` to the tail
-  /// (O(1) monotone fast path) or the heap. schedule_at passes next_seq_++;
-  /// restore_at passes a checkpointed or reserved sequence.
+  /// Link `e` into its bucket at its (time, sequence) place.
+  void ring_insert(const HeapEntry& e);
+  /// Unlink a ring event from its bucket.
+  void ring_unlink(std::uint32_t idx);
+  /// Bucket holding the earliest ring event; the ring must not be empty.
+  [[nodiscard]] std::size_t first_bucket() const;
+  /// Move the far events the window now covers into the ring.
+  void migrate();
+  /// For an insert below a cursor that slid ahead of the clock: spill the
+  /// ring into the heap and restart the window at the clock, which no
+  /// later insert can precede.
+  void restart_window();
+  void heap_push(const HeapEntry& e);
+  /// Take a pending event out of whichever tier holds it.
+  void remove(std::uint32_t idx);
+
+  /// Route an entry for `idx` at time `t` under sequence `seq` to the ring
+  /// or the far heap. schedule_at passes next_seq_++; restore_at passes a
+  /// checkpointed or reserved sequence.
   void insert_entry(std::uint32_t idx, Time t, std::uint64_t seq);
 
   [[nodiscard]] bool external_stop() const {
     return stop_flag_ != nullptr && stop_flag_->load(std::memory_order_relaxed);
   }
-
-  /// Drop dead (cancelled) and consumed entries from the tail front; resets
-  /// the tail when it empties so indices stay small.
-  void trim_tail();
 
   /// Remove the earliest event with time <= `bound_ns`, moving its deadline
   /// and callback out. Returns false when no such event exists.
@@ -221,11 +270,17 @@ class Scheduler {
   void dispatch(Time t, EventCallback& cb);
 
   std::vector<Slot> slots_;
-  std::vector<std::uint32_t> pos_;  ///< per-slot location (heap pos or tail index)
-  std::vector<HeapEntry> heap_;
-  std::vector<HeapEntry> tail_;  ///< sorted ascending; consumed from tail_head_
-  std::size_t tail_head_ = 0;
-  std::size_t tail_live_ = 0;  ///< tail entries not yet cancelled
+  std::vector<std::uint32_t> pos_;  ///< per-slot location: heap index, kInRing or kNullPos
+  std::vector<HeapEntry> ent_;      ///< per-slot key while the event is in the ring
+  std::vector<std::uint32_t> next_;  ///< per-slot successor within its bucket
+  std::vector<HeapEntry> heap_;     ///< far tier
+  /// First and last slot of each bucket; meaningful only while the
+  /// bucket's occ_ bit is set.
+  std::array<std::uint32_t, kRingSize> head_{};
+  std::array<std::uint32_t, kRingSize> last_{};
+  std::array<std::uint64_t, kRingSize / 64> occ_{};  ///< bit b set iff bucket b is non-empty
+  std::int64_t cursor_ = 0;  ///< first tick of the near window
+  std::size_t ring_live_ = 0;
   std::vector<std::uint32_t> free_;
   Time now_ = Time::zero();
   std::uint64_t next_seq_ = 1;
