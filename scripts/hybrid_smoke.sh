@@ -8,7 +8,9 @@
 #      count exactly duration/tick, and the aggregate accounting closed
 #      (bg = still-fluid + promoted + completed);
 #   3. SIGKILL mid-run + --restore reproduces the uninterrupted run byte for
-#      byte, fluid state included;
+#      byte, fluid state included (1 and 3 run on the k=4 base config and
+#      again on a k=8 config whose aggregates nearly all pin paths of their
+#      own);
 #   4. strict flag validation: every unsupported combination is a one-line
 #      exit-2 reject, including restoring a non-hybrid snapshot.
 #
@@ -31,21 +33,27 @@ base=(run --hybrid --scheme=xmp --subflows=2 --k=4
       --hybrid-bg=500:2000000 --hybrid-fg=2 --hybrid-promote-bytes=256000
       --duration=0.2 --seed=11)
 
-echo "== hybrid smoke: fixed-seed determinism =="
-for d in a b; do
-  mkdir -p "$tmp/$d"
-  (cd "$tmp/$d" && "$bin" "${base[@]}" --json=summary.json --metrics=metrics.json > out.txt)
-done
-for f in summary.json metrics.json out.txt; do
-  cmp "$tmp/a/$f" "$tmp/b/$f" || {
-    echo "FAIL: $f differs between identical hybrid runs (determinism broken)" >&2
-    exit 1
-  }
-done
-echo "two identical hybrid runs byte-identical"
+# determinism <label> <xmpsim args...>: two identical runs, byte-compared.
+determinism() {
+  local label="$1"; shift
+  echo "== hybrid smoke ($label): fixed-seed determinism =="
+  for d in a b; do
+    mkdir -p "$tmp/$label/$d"
+    (cd "$tmp/$label/$d" && "$bin" "$@" --json=summary.json --metrics=metrics.json > out.txt)
+  done
+  for f in summary.json metrics.json out.txt; do
+    cmp "$tmp/$label/a/$f" "$tmp/$label/b/$f" || {
+      echo "FAIL: $f differs between identical hybrid runs ($label, determinism broken)" >&2
+      exit 1
+    }
+  done
+  echo "two identical hybrid runs byte-identical"
+}
+
+determinism k4 "${base[@]}"
 
 echo "== hybrid smoke: tolerance band =="
-python3 - "$tmp/a/summary.json" <<'EOF'
+python3 - "$tmp/k4/a/summary.json" <<'EOF'
 import json, sys
 h = json.load(open(sys.argv[1]))["hybrid"]
 # k=4 fat tree, 10 Gbps links, 16 hosts: edge capacity 160 Gbps.
@@ -61,35 +69,53 @@ print(f"band ok: fluid {h['fluid_throughput_mbps']:.0f} Mbps, "
       f"mark p {h['mean_mark_p']:.3f}, promotions {h['promotions']}")
 EOF
 
-echo "== hybrid smoke: SIGKILL + restore byte-identity =="
 newest_ckpt() {
   ls "$1"/ckpt_*.bin 2>/dev/null | sort -t_ -k2 -n | tail -1
 }
-ref="$tmp/ref"; mkdir -p "$ref"
-(cd "$ref" && "$bin" "${base[@]}" --checkpoint-every=0.005 --checkpoint-dir=. \
-  --json=summary.json --metrics=metrics.json > out.txt)
-kill_dir="$tmp/kill"; mkdir -p "$kill_dir"
-(cd "$kill_dir" && exec "$bin" "${base[@]}" --checkpoint-every=0.005 --checkpoint-dir=. \
-  --json=summary.json --metrics=metrics.json > out.txt 2>&1) &
-pid=$!
-for _ in $(seq 1 200); do
-  [ -n "$(newest_ckpt "$kill_dir")" ] && break
-  kill -0 "$pid" 2>/dev/null || break
-  sleep 0.05
-done
-kill -KILL "$pid" 2>/dev/null || true
-wait "$pid" 2>/dev/null || true
-ck="$(newest_ckpt "$kill_dir")"
-[ -n "$ck" ] || { echo "FAIL: no checkpoint on disk after kill" >&2; exit 1; }
-(cd "$kill_dir" && "$bin" "${base[@]}" --checkpoint-every=0.005 --checkpoint-dir=. \
-  "--restore=$(basename "$ck")" --json=summary.json --metrics=metrics.json > out.txt)
-for f in summary.json metrics.json out.txt; do
-  cmp "$ref/$f" "$kill_dir/$f" || {
-    echo "FAIL: $f differs after kill+resume of a hybrid run" >&2
-    exit 1
-  }
-done
-echo "hybrid kill+resume summary/metrics byte-identical"
+# kill_restore <label> <xmpsim args...>: a checkpointing run SIGKILLed after
+# its first snapshot and resumed with --restore must reproduce the
+# uninterrupted run byte for byte.
+kill_restore() {
+  local label="$1"; shift
+  echo "== hybrid smoke ($label): SIGKILL + restore byte-identity =="
+  local ref="$tmp/$label/ref" kill_dir="$tmp/$label/kill"
+  mkdir -p "$ref" "$kill_dir"
+  (cd "$ref" && "$bin" "$@" --checkpoint-every=0.005 --checkpoint-dir=. \
+    --json=summary.json --metrics=metrics.json > out.txt)
+  (cd "$kill_dir" && exec "$bin" "$@" --checkpoint-every=0.005 --checkpoint-dir=. \
+    --json=summary.json --metrics=metrics.json > out.txt 2>&1) &
+  local pid=$!
+  for _ in $(seq 1 200); do
+    [ -n "$(newest_ckpt "$kill_dir")" ] && break
+    kill -0 "$pid" 2>/dev/null || break
+    sleep 0.05
+  done
+  kill -KILL "$pid" 2>/dev/null || true
+  wait "$pid" 2>/dev/null || true
+  local ck
+  ck="$(newest_ckpt "$kill_dir")"
+  [ -n "$ck" ] || { echo "FAIL: no checkpoint on disk after kill ($label)" >&2; exit 1; }
+  (cd "$kill_dir" && "$bin" "$@" --checkpoint-every=0.005 --checkpoint-dir=. \
+    "--restore=$(basename "$ck")" --json=summary.json --metrics=metrics.json > out.txt)
+  for f in summary.json metrics.json out.txt; do
+    cmp "$ref/$f" "$kill_dir/$f" || {
+      echo "FAIL: $f differs after kill+resume of a hybrid run ($label)" >&2
+      exit 1
+    }
+  done
+  echo "hybrid kill+resume summary/metrics byte-identical"
+}
+
+kill_restore k4 "${base[@]}"
+
+# k=8 leg: 2000 finite aggregates over a k=8 fat tree, where almost every
+# subflow pins a path of its own, so the engine's path table is as large
+# as its subflow table. The first promotions land at about 0.24 s.
+k8=(run --hybrid --scheme=xmp --subflows=2 --k=8
+    --hybrid-bg=2000:2000000 --hybrid-fg=2 --hybrid-promote-bytes=256000
+    --duration=0.3 --seed=11)
+determinism k8 "${k8[@]}"
+kill_restore k8 "${k8[@]}"
 
 echo "== hybrid smoke: unsupported combinations rejected =="
 expect_reject() {

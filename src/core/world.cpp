@@ -257,10 +257,10 @@ void World::build_hybrid() {
   // Interning a path registers its links on first sight; every queue in
   // the fabric shares the same ECN threshold K.
   const double mark_k = static_cast<double>(cfg.mark_threshold);
+  std::vector<int> ids;
   auto intern_path = [&](int src, int dst, int agg_choice, int core_choice, double& base_rtt_s) {
     const auto links = tree.path_links(src, dst, agg_choice, core_choice);
-    std::vector<int> ids;
-    ids.reserve(links.size());
+    ids.clear();
     base_rtt_s = 0.0;
     for (net::Link* l : links) {
       ids.push_back(hybrid->add_link(l, mark_k));
@@ -273,10 +273,11 @@ void World::build_hybrid() {
     return hybrid->add_path(ids);
   };
   const int n_sub = cfg.scheme.multipath() ? cfg.scheme.subflows : 1;
+  model::hybrid::FluidAggregate agg;  // one registration record, reused
+  agg.beta = static_cast<double>(cfg.scheme.beta);
+  agg.total_bytes = cfg.hybrid.bg_bytes;
   for (int i = 0; i < cfg.hybrid.bg_flows; ++i) {
-    model::hybrid::FluidAggregate agg;
-    agg.beta = static_cast<double>(cfg.scheme.beta);
-    agg.total_bytes = cfg.hybrid.bg_bytes;
+    agg.subflows.clear();
     pick_pair(0x1000000ULL + static_cast<std::uint64_t>(i), agg.src_host, agg.dst_host);
     const std::uint64_t hp =
         net::mix64(cfg.seed ^ 0xb5f0'd27cULL ^ (static_cast<std::uint64_t>(i) << 20));
@@ -291,7 +292,7 @@ void World::build_hybrid() {
       sf.path = intern_path(agg.src_host, agg.dst_host, agg_choice, core_choice, sf.base_rtt_s);
       agg.subflows.push_back(sf);
     }
-    hybrid->add_aggregate(std::move(agg));
+    hybrid->add_aggregate(agg);
   }
   hybrid->set_on_promote([this](const model::hybrid::PromotionInfo& info) {
     workload::CallbackTag t;
@@ -483,7 +484,7 @@ bool World::restore(ckpt::Loader& l) {
     // The config fingerprint covers cfg.hybrid, so a non-hybrid snapshot
     // never reaches a hybrid world (and vice versa); the flag only keeps
     // the payload self-describing.
-    if (l.b() && hybrid) hybrid->restore_state(l);
+    if (l.b() && hybrid && !hybrid->restore_state(l)) return false;
   }
   l.tag("PROB");
   rtt_tick.restore_state(l);

@@ -11,8 +11,11 @@ namespace xmp::model::hybrid {
 
 int Engine::add_link(net::Link* link, double mark_threshold) {
   assert(link != nullptr);
-  const auto [it, inserted] = link_index_.try_emplace(link->id(), static_cast<int>(links_.size()));
-  if (!inserted) return it->second;
+  const std::size_t id = link->id();
+  if (id >= link_index_.size()) link_index_.resize(id + 1, -1);
+  int& index = link_index_[id];
+  if (index >= 0) return index;
+  index = static_cast<int>(links_.size());
   LinkState ls;
   ls.link = link;
   ls.mark_threshold = mark_threshold;
@@ -21,7 +24,7 @@ int Engine::add_link(net::Link* link, double mark_threshold) {
   ls.capacity_packets = static_cast<double>(link->queue().capacity());
   ls.last_bytes_sent = link->bytes_sent();
   links_.push_back(ls);
-  return it->second;
+  return index;
 }
 
 int Engine::add_path(const std::vector<int>& links) {
@@ -30,28 +33,65 @@ int Engine::add_path(const std::vector<int>& links) {
     assert(li >= 0 && static_cast<std::size_t>(li) < links_.size());
     h = net::mix64(h ^ static_cast<std::uint64_t>(li));
   }
-  std::vector<int>& bucket = path_buckets_[h];
-  for (const int pid : bucket) {
-    if (paths_[static_cast<std::size_t>(pid)] == links) return pid;
+  const auto [first, last] = path_dedup_.equal_range(h);
+  for (auto it = first; it != last; ++it) {
+    const auto p = static_cast<std::size_t>(it->second);
+    if (std::equal(links.begin(), links.end(), path_hop_.begin() + path_off_[p],
+                   path_hop_.begin() + path_off_[p + 1])) {
+      return it->second;
+    }
   }
-  const int pid = static_cast<int>(paths_.size());
-  paths_.push_back(links);
-  bucket.push_back(pid);
+  const int pid = static_cast<int>(path_off_.size() - 1);
+  path_hop_.insert(path_hop_.end(), links.begin(), links.end());
+  path_off_.push_back(static_cast<std::uint32_t>(path_hop_.size()));
+  path_dedup_.emplace(h, pid);
   return pid;
 }
 
-int Engine::add_aggregate(FluidAggregate agg) {
+int Engine::add_aggregate(const FluidAggregate& agg) {
   assert(!agg.subflows.empty());
-  for ([[maybe_unused]] const FluidSubflowState& sf : agg.subflows) {
-    assert(sf.path >= 0 && static_cast<std::size_t>(sf.path) < paths_.size());
+  Aggregate a;
+  a.beta = agg.beta;
+  a.total_bytes = agg.total_bytes;
+  a.src_host = agg.src_host;
+  a.dst_host = agg.dst_host;
+  a.sf_begin = static_cast<std::uint32_t>(subflows_.size());
+  for (const FluidSubflowState& sf : agg.subflows) {
+    assert(sf.path >= 0 && static_cast<std::size_t>(sf.path) + 1 < path_off_.size());
     assert(sf.base_rtt_s > 0.0);
+    subflows_.push_back(sf);
   }
-  aggs_.push_back(std::move(agg));
+  a.sf_end = static_cast<std::uint32_t>(subflows_.size());
+  aggs_.push_back(a);
   return static_cast<int>(aggs_.size() - 1);
+}
+
+const FluidSubflowState& Engine::subflow(int agg, int j) const {
+  const Aggregate& a = aggs_.at(static_cast<std::size_t>(agg));
+  assert(j >= 0 && a.sf_begin + static_cast<std::uint32_t>(j) < a.sf_end);
+  return subflows_[a.sf_begin + static_cast<std::uint32_t>(j)];
+}
+
+void Engine::seal() {
+  const std::size_t n_paths = path_off_.size() - 1;
+  path_delay_s_.resize(n_paths);
+  path_rate_sps_.resize(n_paths);
+  path_p_.resize(n_paths);
+  path_serve_.resize(n_paths);
+  link_delay_s_.resize(links_.size());
+  link_keep_.resize(links_.size());
+  link_serve_.resize(links_.size());
+  link_arrival_sps_.resize(links_.size());
+  std::size_t max_sf = 0;
+  for (const Aggregate& a : aggs_) max_sf = std::max<std::size_t>(max_sf, a.sf_end - a.sf_begin);
+  sf_t_eff_.resize(max_sf);
+  sf_x_.resize(max_sf);
+  decltype(path_dedup_){}.swap(path_dedup_);
 }
 
 void Engine::start() {
   if (timer_ != sim::kInvalidEventId) return;
+  seal();
   // Re-baseline the odometers so traffic sent before start() (none, in
   // practice) is not mistaken for the first tick's drain or arrivals.
   for (LinkState& ls : links_) {
@@ -63,8 +103,8 @@ void Engine::start() {
 
 int Engine::active_fluid_flows() const {
   int n = 0;
-  for (const FluidAggregate& a : aggs_) {
-    if (a.state == FluidAggregate::State::Fluid) ++n;
+  for (const Aggregate& a : aggs_) {
+    if (a.state == AggregateState::Fluid) ++n;
   }
   return n;
 }
@@ -96,38 +136,45 @@ void Engine::push_coupling(LinkState& ls, std::size_t link_index) {
 void Engine::tick() {
   const double dt = cfg_.tick.sec();
   ++stats_.ticks;
+  const std::size_t n_paths = path_rate_sps_.size();
 
   // Pass 0: per-path queueing delay from the state at tick entry. The
   // effective RTT a fluid subflow experiences is its zero-load RTT plus the
   // drain time of every backlog (fluid + real packets) on its path —
   // material here: at K = 10 packets the queueing term is ~120 µs against
   // a ~300 µs base RTT.
-  path_delay_s_.assign(paths_.size(), 0.0);
-  path_rate_sps_.assign(paths_.size(), 0.0);
-  for (std::size_t p = 0; p < paths_.size(); ++p) {
+  for (std::size_t li = 0; li < links_.size(); ++li) {
+    const LinkState& ls = links_[li];
+    link_delay_s_[li] =
+        (ls.q_fluid + static_cast<double>(ls.link->queue().len_packets())) / ls.capacity_sps;
+  }
+  for (std::size_t p = 0; p < n_paths; ++p) {
     double d = 0.0;
-    for (const int li : paths_[p]) {
-      const LinkState& ls = links_[static_cast<std::size_t>(li)];
-      d += (ls.q_fluid + static_cast<double>(ls.link->queue().len_packets())) / ls.capacity_sps;
+    for (std::uint32_t h = path_off_[p]; h < path_off_[p + 1]; ++h) {
+      d += link_delay_s_[static_cast<std::size_t>(path_hop_[h])];
     }
     path_delay_s_[p] = d;
   }
 
   // Pass 1: fluid arrival rates, accumulated per path then fanned out to
   // links — O(subflows + paths·hops), independent of the flow count per
-  // path, which is what makes 10^5 background flows tractable.
-  for (const FluidAggregate& agg : aggs_) {
-    if (agg.state != FluidAggregate::State::Fluid) continue;
-    for (const FluidSubflowState& sf : agg.subflows) {
-      const double t_eff = sf.base_rtt_s + path_delay_s_[static_cast<std::size_t>(sf.path)];
-      path_rate_sps_[static_cast<std::size_t>(sf.path)] += sf.w / t_eff;
+  // path.
+  std::fill(path_rate_sps_.begin(), path_rate_sps_.end(), 0.0);
+  for (const Aggregate& agg : aggs_) {
+    if (agg.state != AggregateState::Fluid) continue;
+    for (std::uint32_t j = agg.sf_begin; j < agg.sf_end; ++j) {
+      const FluidSubflowState& sf = subflows_[j];
+      const auto p = static_cast<std::size_t>(sf.path);
+      path_rate_sps_[p] += sf.w / (sf.base_rtt_s + path_delay_s_[p]);
     }
   }
-  for (LinkState& ls : links_) ls.arrival_sps = 0.0;
-  for (std::size_t p = 0; p < paths_.size(); ++p) {
+  std::fill(link_arrival_sps_.begin(), link_arrival_sps_.end(), 0.0);
+  for (std::size_t p = 0; p < n_paths; ++p) {
     const double r = path_rate_sps_[p];
     if (r <= 0.0) continue;
-    for (const int li : paths_[p]) links_[static_cast<std::size_t>(li)].arrival_sps += r;
+    for (std::uint32_t h = path_off_[p]; h < path_off_[p + 1]; ++h) {
+      link_arrival_sps_[static_cast<std::size_t>(path_hop_[h])] += r;
+    }
   }
 
   // Pass 2: per-link fluid queue evolution and marking probability. The
@@ -139,6 +186,7 @@ void Engine::tick() {
   double arrival_total = 0.0;
   for (std::size_t li = 0; li < links_.size(); ++li) {
     LinkState& ls = links_[li];
+    const double arrival_sps = link_arrival_sps_[li];
     const std::uint64_t sent = ls.link->bytes_sent();
     const double drained_bytes = static_cast<double>(sent - ls.last_bytes_sent);
     ls.last_bytes_sent = sent;
@@ -162,12 +210,11 @@ void Engine::tick() {
     // arrivals under overload and leaves the residual otherwise. Deriving
     // the share from the fluid *throughput* instead would ratchet: the
     // packet drain could never grow past the residual it was last granted.
-    const double total_arrival_sps = ls.arrival_sps + ls.pkt_arrival_sps;
-    ls.fluid_share = total_arrival_sps > ls.capacity_sps
-                         ? ls.arrival_sps / total_arrival_sps
-                         : ls.arrival_sps / ls.capacity_sps;
+    const double total_arrival_sps = arrival_sps + ls.pkt_arrival_sps;
+    ls.fluid_share = total_arrival_sps > ls.capacity_sps ? arrival_sps / total_arrival_sps
+                                                         : arrival_sps / ls.capacity_sps;
     const double c_fluid = std::max(0.0, ls.capacity_sps - ls.pkt_drain_sps);
-    const double backlog = ls.q_fluid + ls.arrival_sps * dt;
+    const double backlog = ls.q_fluid + arrival_sps * dt;
     const double served = std::min(backlog, c_fluid * dt);
     ls.q_fluid = std::min(backlog - served, ls.capacity_packets);
     ls.fluid_rate_sps = served / dt;
@@ -179,26 +226,29 @@ void Engine::tick() {
         std::clamp((q_tot - ls.mark_threshold) / cfg_.mark_span_packets, 0.0, 1.0);
     ls.p_mark += cfg_.mark_ewma * (p_inst - ls.p_mark);
     push_coupling(ls, li);
-    p_weighted += ls.p_mark * ls.arrival_sps;
-    arrival_total += ls.arrival_sps;
+    p_weighted += ls.p_mark * arrival_sps;
+    arrival_total += arrival_sps;
+    // This link's hop terms for pass 3: the refreshed drain time, the
+    // unmarked fraction and the fraction of its fluid arrivals actually
+    // served this tick (below 1 only while the queue overflows).
+    link_delay_s_[li] = q_tot / ls.capacity_sps;
+    link_keep_[li] = 1.0 - ls.p_mark;
+    link_serve_[li] = arrival_sps > 0.0 ? std::min(1.0, ls.fluid_rate_sps / arrival_sps) : 1.0;
   }
   if (arrival_total > 0.0) stats_.mark_p_accum += p_weighted / arrival_total;
 
-  // Pass 3: per-path end-to-end marking probability and refreshed delay
-  // (semi-implicit: window updates see the post-update queues).
-  path_p_.assign(paths_.size(), 0.0);
-  path_serve_.assign(paths_.size(), 1.0);
-  for (std::size_t p = 0; p < paths_.size(); ++p) {
+  // Pass 3: per-path end-to-end marking probability, refreshed delay
+  // (semi-implicit: window updates see the post-update queues) and
+  // bottleneck service fraction.
+  for (std::size_t p = 0; p < n_paths; ++p) {
     double keep = 1.0;
     double d = 0.0;
     double f = 1.0;
-    for (const int li : paths_[p]) {
-      const LinkState& ls = links_[static_cast<std::size_t>(li)];
-      keep *= 1.0 - ls.p_mark;
-      d += (ls.q_fluid + static_cast<double>(ls.link->queue().len_packets())) / ls.capacity_sps;
-      // Fraction of this link's fluid arrivals actually served this tick;
-      // below 1 only while the queue overflows (gross overload).
-      if (ls.arrival_sps > 0.0) f = std::min(f, std::min(1.0, ls.fluid_rate_sps / ls.arrival_sps));
+    for (std::uint32_t h = path_off_[p]; h < path_off_[p + 1]; ++h) {
+      const auto li = static_cast<std::size_t>(path_hop_[h]);
+      keep *= link_keep_[li];
+      d += link_delay_s_[li];
+      f = std::min(f, link_serve_[li]);
     }
     path_p_[p] = 1.0 - keep;
     path_delay_s_[p] = d;
@@ -209,39 +259,44 @@ void Engine::tick() {
   // damped), then the BOS window ODE (Eq. 2 in expectation):
   //   E[Δw per round] = δ(1-P) - (w/β)P.
   for (std::size_t ai = 0; ai < aggs_.size(); ++ai) {
-    FluidAggregate& agg = aggs_[ai];
-    if (agg.state != FluidAggregate::State::Fluid) continue;
+    Aggregate& agg = aggs_[ai];
+    if (agg.state != AggregateState::Fluid) continue;
+    FluidSubflowState* const sfs = subflows_.data() + agg.sf_begin;
+    const std::uint32_t n_sf = agg.sf_end - agg.sf_begin;
 
     double y = 0.0;
     double y_served = 0.0;
     double t_min = 1e30;
-    for (const FluidSubflowState& sf : agg.subflows) {
-      const double t_eff = sf.base_rtt_s + path_delay_s_[static_cast<std::size_t>(sf.path)];
-      y += sf.w / t_eff;
+    for (std::uint32_t j = 0; j < n_sf; ++j) {
+      const auto p = static_cast<std::size_t>(sfs[j].path);
+      const double t_eff = sfs[j].base_rtt_s + path_delay_s_[p];
+      const double x = sfs[j].w / t_eff;
+      y += x;
       // Delivery is the *served* rate: the offered rate w/T scaled by the
       // path's bottleneck service fraction, so goodput never exceeds what
       // the links actually carried even when windows are floored above the
       // network's capacity.
-      y_served += sf.w / t_eff * path_serve_[static_cast<std::size_t>(sf.path)];
+      y_served += x * path_serve_[p];
       t_min = std::min(t_min, t_eff);
+      sf_t_eff_[j] = t_eff;
+      sf_x_[j] = x;
     }
     const double delivered = y_served * dt * static_cast<double>(net::kMssBytes);
     agg.delivered_bytes += delivered;
     stats_.fluid_bytes += delivered;
 
-    if (agg.subflows.size() > 1 && y > 0.0) {
-      const double lambda = std::min(1.0, cfg_.trash_relax * dt / t_min);
-      for (FluidSubflowState& sf : agg.subflows) {
-        const double t_eff = sf.base_rtt_s + path_delay_s_[static_cast<std::size_t>(sf.path)];
-        const double x = sf.w / t_eff;
-        const double target = t_eff * x / (t_min * y);
-        sf.delta =
-            std::max(cfg_.delta_floor, sf.delta + lambda * (target - sf.delta));
+    // One pass per subflow: the TraSh update of δ reads only this subflow's
+    // own (not yet updated) window plus the aggregate's y and t_min, so it
+    // can run right before the window update that consumes it.
+    const bool trash = n_sf > 1 && y > 0.0;
+    const double lambda = trash ? std::min(1.0, cfg_.trash_relax * dt / t_min) : 0.0;
+    for (std::uint32_t j = 0; j < n_sf; ++j) {
+      FluidSubflowState& sf = sfs[j];
+      const double t_eff = sf_t_eff_[j];
+      if (trash) {
+        const double target = t_eff * sf_x_[j] / (t_min * y);
+        sf.delta = std::max(cfg_.delta_floor, sf.delta + lambda * (target - sf.delta));
       }
-    }
-
-    for (FluidSubflowState& sf : agg.subflows) {
-      const double t_eff = sf.base_rtt_s + path_delay_s_[static_cast<std::size_t>(sf.path)];
       const double big_p = path_p_[static_cast<std::size_t>(sf.path)];
       const double rounds = dt / t_eff;
       const double dw = (sf.delta * (1.0 - big_p) - sf.w / agg.beta * big_p) * rounds;
@@ -251,7 +306,7 @@ void Engine::tick() {
     if (agg.total_bytes >= 0) {
       const double remaining = static_cast<double>(agg.total_bytes) - agg.delivered_bytes;
       if (remaining <= 0.0) {
-        agg.state = FluidAggregate::State::Done;
+        agg.state = AggregateState::Done;
         ++stats_.fluid_completions;
       } else if (cfg_.promote_bytes > 0 &&
                  remaining <= static_cast<double>(cfg_.promote_bytes)) {
@@ -264,8 +319,8 @@ void Engine::tick() {
 }
 
 void Engine::promote(int agg_index) {
-  FluidAggregate& agg = aggs_[static_cast<std::size_t>(agg_index)];
-  agg.state = FluidAggregate::State::Promoted;
+  Aggregate& agg = aggs_[static_cast<std::size_t>(agg_index)];
+  agg.state = AggregateState::Promoted;
   ++stats_.promotions;
   if (!on_promote_) return;
   PromotionInfo info;
@@ -273,8 +328,8 @@ void Engine::promote(int agg_index) {
   const double remaining = static_cast<double>(agg.total_bytes) - agg.delivered_bytes;
   info.remaining_bytes = std::max<std::int64_t>(1, std::llround(remaining));
   double wsum = 0.0;
-  for (const FluidSubflowState& sf : agg.subflows) wsum += sf.w;
-  info.cwnd_segments = wsum / static_cast<double>(agg.subflows.size());
+  for (std::uint32_t j = agg.sf_begin; j < agg.sf_end; ++j) wsum += subflows_[j].w;
+  info.cwnd_segments = wsum / static_cast<double>(agg.sf_end - agg.sf_begin);
   info.src_host = agg.src_host;
   info.dst_host = agg.dst_host;
   on_promote_(info);
@@ -293,13 +348,13 @@ void Engine::save_state(core::ckpt::Saver& s) const {
     s.u64(ls.last_queue_bytes);
   }
   s.u64(aggs_.size());
-  for (const FluidAggregate& agg : aggs_) {
+  for (const Aggregate& agg : aggs_) {
     s.u8(static_cast<std::uint8_t>(agg.state));
     s.f64(agg.delivered_bytes);
-    s.u64(agg.subflows.size());
-    for (const FluidSubflowState& sf : agg.subflows) {
-      s.f64(sf.w);
-      s.f64(sf.delta);
+    s.u64(agg.sf_end - agg.sf_begin);
+    for (std::uint32_t j = agg.sf_begin; j < agg.sf_end; ++j) {
+      s.f64(subflows_[j].w);
+      s.f64(subflows_[j].delta);
     }
   }
   s.u64(stats_.ticks);
@@ -318,13 +373,13 @@ void Engine::save_state(core::ckpt::Saver& s) const {
   }
 }
 
-void Engine::restore_state(core::ckpt::Loader& l) {
+bool Engine::restore_state(core::ckpt::Loader& l) {
+  seal();
   // Structure (links, paths, aggregate shapes) was rebuilt from config
-  // before this call — the config fingerprint guarantees it matches.
-  const std::uint64_t n_links = l.u64();
-  assert(n_links == links_.size());
-  for (std::uint64_t i = 0; i < n_links && l.ok(); ++i) {
-    LinkState& ls = links_[i];
+  // before this call; the config fingerprint guarantees it matches, and a
+  // payload whose counts disagree is refused before it is written anywhere.
+  if (l.u64() != links_.size()) return false;
+  for (LinkState& ls : links_) {
     ls.q_fluid = l.f64();
     ls.p_mark = l.f64();
     ls.fluid_rate_sps = l.f64();
@@ -334,17 +389,16 @@ void Engine::restore_state(core::ckpt::Loader& l) {
     ls.last_bytes_sent = l.u64();
     ls.last_queue_bytes = l.u64();
   }
-  const std::uint64_t n_aggs = l.u64();
-  assert(n_aggs == aggs_.size());
-  for (std::uint64_t i = 0; i < n_aggs && l.ok(); ++i) {
-    FluidAggregate& agg = aggs_[i];
-    agg.state = static_cast<FluidAggregate::State>(l.u8());
+  if (l.u64() != aggs_.size()) return false;
+  for (Aggregate& agg : aggs_) {
+    const std::uint8_t state = l.u8();
+    if (state > static_cast<std::uint8_t>(AggregateState::Done)) return false;
+    agg.state = static_cast<AggregateState>(state);
     agg.delivered_bytes = l.f64();
-    const std::uint64_t n_sf = l.u64();
-    assert(n_sf == agg.subflows.size());
-    for (std::uint64_t j = 0; j < n_sf && l.ok(); ++j) {
-      agg.subflows[j].w = l.f64();
-      agg.subflows[j].delta = l.f64();
+    if (l.u64() != agg.sf_end - agg.sf_begin) return false;
+    for (std::uint32_t j = agg.sf_begin; j < agg.sf_end; ++j) {
+      subflows_[j].w = l.f64();
+      subflows_[j].delta = l.f64();
     }
   }
   stats_.ticks = l.u64();
@@ -355,11 +409,13 @@ void Engine::restore_state(core::ckpt::Loader& l) {
   if (l.b()) {
     const std::int64_t t_ns = l.i64();
     const std::uint64_t seq = l.u64();
+    if (!l.ok()) return false;
     timer_ = sched_.restore_at(sim::Time::nanoseconds(t_ns), seq, [this] { tick(); });
   }
   // Coupling values are not serialized in the queue/link objects; re-derive
   // them now that stats_.ticks (the duty-cycle phase) is restored.
   for (std::size_t i = 0; i < links_.size(); ++i) push_coupling(links_[i], i);
+  return l.ok();
 }
 
 }  // namespace xmp::model::hybrid

@@ -45,19 +45,20 @@ struct FluidSubflowState {
   double delta = 1.0;      ///< TraSh gain δ
 };
 
-/// One background flow: a single- or multi-path aggregate of fluid subflows.
-struct FluidAggregate {
-  enum class State : std::uint8_t {
-    Fluid,     ///< evolving as an ODE
-    Promoted,  ///< handed to the packet domain for its final bytes
-    Done,      ///< drained fully inside the fluid model
-  };
+/// Lifecycle of a background flow (checkpointed as its u8 value).
+enum class AggregateState : std::uint8_t {
+  Fluid,     ///< evolving as an ODE
+  Promoted,  ///< handed to the packet domain for its final bytes
+  Done,      ///< drained fully inside the fluid model
+};
 
+/// Registration record of one background flow: a single- or multi-path
+/// aggregate of fluid subflows. add_aggregate copies the subflows into the
+/// engine's flat subflow table, which is the only store of their state.
+struct FluidAggregate {
   std::vector<FluidSubflowState> subflows;
   double beta = 4.0;             ///< XMP window-reduction factor
   std::int64_t total_bytes = -1; ///< -1 = unbounded (steady-state background)
-  double delivered_bytes = 0.0;
-  State state = State::Fluid;
   int src_host = -1;  ///< topology host indices, used at promotion
   int dst_host = -1;
 };
@@ -134,14 +135,16 @@ class Engine {
   /// existing index when called twice.
   int add_link(net::Link* link, double mark_threshold);
 
-  /// Intern a path (hop-ordered engine link indices from add_link); paths
-  /// are deduplicated, so 10^5 flows over a k=8 fat tree share a few
-  /// thousand path entries and the per-tick cost is O(subflows + paths).
+  /// Intern a path (hop-ordered engine link indices from add_link). Equal
+  /// paths are deduplicated, which collapses them only where flows share
+  /// endpoints and path choices: at k=8 with 20,000 subflows, 18,722
+  /// paths remain. Register every path before start() / restore_state(),
+  /// which release the dedup index.
   int add_path(const std::vector<int>& links);
 
   /// Register a background flow. All paths referenced by its subflows must
   /// already be interned. Returns the aggregate index.
-  int add_aggregate(FluidAggregate agg);
+  int add_aggregate(const FluidAggregate& agg);
 
   /// Called when a finite fluid flow crosses the promotion threshold. The
   /// callee starts the packet-domain tail (FlowManager::start_large_flow
@@ -158,9 +161,9 @@ class Engine {
   [[nodiscard]] std::size_t n_links() const { return links_.size(); }
   [[nodiscard]] std::size_t n_aggregates() const { return aggs_.size(); }
   [[nodiscard]] int active_fluid_flows() const;
-  [[nodiscard]] const FluidAggregate& aggregate(int i) const {
-    return aggs_.at(static_cast<std::size_t>(i));
-  }
+  /// Window and TraSh gain of subflow `j` of aggregate `agg`.
+  [[nodiscard]] double subflow_w(int agg, int j) const { return subflow(agg, j).w; }
+  [[nodiscard]] double subflow_delta(int agg, int j) const { return subflow(agg, j).delta; }
 
   /// Per-link fluid state, for validation tests and summaries.
   [[nodiscard]] double link_mark_p(int i) const {
@@ -178,9 +181,11 @@ class Engine {
 
   /// Checkpoint the dynamic fluid state + the tick timer (HYBR section
   /// payload). The static structure (links, paths, aggregate shapes) is
-  /// rebuilt from config before restore, exactly like the topology itself.
+  /// rebuilt from config before restore, exactly like the topology itself;
+  /// restore_state returns false when the payload's link, aggregate or
+  /// per-aggregate subflow counts disagree with it, or it is truncated.
   void save_state(core::ckpt::Saver& s) const;
-  void restore_state(core::ckpt::Loader& l);
+  [[nodiscard]] bool restore_state(core::ckpt::Loader& l);
 
  private:
   struct LinkState {
@@ -199,10 +204,23 @@ class Engine {
     double pkt_arrival_sps = 0.0;  ///< EWMA-smoothed measured packet arrivals
     std::uint64_t last_bytes_sent = 0;  ///< transmitter odometer at last tick
     std::uint64_t last_queue_bytes = 0; ///< egress queue depth at last tick
-    // --- per-tick scratch ---
-    double arrival_sps = 0.0;
   };
 
+  struct Aggregate {
+    double beta = 4.0;
+    std::int64_t total_bytes = -1;
+    double delivered_bytes = 0.0;
+    std::uint32_t sf_begin = 0;  ///< [sf_begin, sf_end) in subflows_
+    std::uint32_t sf_end = 0;
+    AggregateState state = AggregateState::Fluid;
+    int src_host = -1;
+    int dst_host = -1;
+  };
+
+  [[nodiscard]] const FluidSubflowState& subflow(int agg, int j) const;
+  /// End of registration: size the per-tick scratch to the path and link
+  /// tables and release the path dedup index. Idempotent.
+  void seal();
   void tick();
   /// Push the marking duty-cycle phase / bandwidth share into the net-layer
   /// objects (after every tick and after a restore). The burst phase is a
@@ -214,19 +232,31 @@ class Engine {
   sim::Scheduler& sched_;
   Config cfg_;
   std::vector<LinkState> links_;
-  std::unordered_map<std::uint32_t, int> link_index_;  ///< LinkId -> index
-  std::vector<std::vector<int>> paths_;
-  std::unordered_map<std::uint64_t, std::vector<int>> path_buckets_;  ///< hash -> path ids
-  std::vector<FluidAggregate> aggs_;
+  std::vector<int> link_index_;  ///< LinkId -> engine link index, -1 = unregistered
+  // Paths in CSR form: path p's hops are path_hop_[path_off_[p] .. path_off_[p+1]).
+  std::vector<std::uint32_t> path_off_{0};
+  std::vector<int> path_hop_;
+  std::unordered_multimap<std::uint64_t, int> path_dedup_;  ///< hop hash -> path id, until seal()
+  std::vector<Aggregate> aggs_;
+  std::vector<FluidSubflowState> subflows_;  ///< all aggregates' subflows, contiguous per aggregate
   std::function<void(const PromotionInfo&)> on_promote_;
   EngineStats stats_;
   sim::EventId timer_ = sim::kInvalidEventId;
 
-  // Per-tick scratch, sized to paths_ (kept hot across ticks).
+  // Per-tick scratch, sized by seal() (kept hot across ticks). Every
+  // per-hop term is computed once per link and summed in hop order, so the
+  // result is bit-identical to evaluating it at each hop.
+  std::vector<double> link_delay_s_;     ///< (q_fluid + queued packets) / capacity
+  std::vector<double> link_keep_;        ///< 1 - p_mark
+  std::vector<double> link_serve_;       ///< min(1, fluid_rate / arrival), 1 without arrivals
+  std::vector<double> link_arrival_sps_; ///< fluid arrivals fanned out from the paths
   std::vector<double> path_delay_s_;
   std::vector<double> path_rate_sps_;
   std::vector<double> path_p_;
   std::vector<double> path_serve_;  ///< min over hops of served/arrival
+  // T_eff and rate w/T_eff of each subflow of the aggregate in pass 4.
+  std::vector<double> sf_t_eff_;
+  std::vector<double> sf_x_;
 };
 
 }  // namespace xmp::model::hybrid

@@ -15,6 +15,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -23,6 +26,7 @@
 
 #include "core/checkpoint.hpp"
 #include "core/experiment.hpp"
+#include "core/world.hpp"
 #include "model/fluid.hpp"
 #include "net/types.hpp"
 #include "topo/pinned.hpp"
@@ -96,9 +100,9 @@ TEST(HybridFluid, SingleBottleneckEquilibriumMatchesClosedForm) {
   EXPECT_NEAR(bed.eng->link_fluid_rate_sps(0), kGbpsInSegments, kGbpsInSegments * 0.05);
   // Equal flows share equally: every window within 10% of the mean.
   double wsum = 0.0;
-  for (int i = 0; i < 4; ++i) wsum += bed.eng->aggregate(i).subflows[0].w;
+  for (int i = 0; i < 4; ++i) wsum += bed.eng->subflow_w(i, 0);
   for (int i = 0; i < 4; ++i) {
-    EXPECT_NEAR(bed.eng->aggregate(i).subflows[0].w, wsum / 4.0, wsum / 4.0 * 0.10);
+    EXPECT_NEAR(bed.eng->subflow_w(i, 0), wsum / 4.0, wsum / 4.0 * 0.10);
   }
 }
 
@@ -170,11 +174,11 @@ TEST(HybridCoupling, TrashShiftsMultipathAggregateOffCongestedLink) {
   bed.eng->start();
   bed.sched.run_until(sim::Time::seconds(0.5));
 
-  const FluidAggregate& agg = bed.eng->aggregate(0);
-  EXPECT_GT(bed.eng->link_mark_p(0), bed.eng->link_mark_p(1));
-  EXPECT_GT(agg.subflows[1].delta, agg.subflows[0].delta)
+  const Engine& eng = *bed.eng;
+  EXPECT_GT(eng.link_mark_p(0), eng.link_mark_p(1));
+  EXPECT_GT(eng.subflow_delta(0, 1), eng.subflow_delta(0, 0))
       << "TraSh gain did not migrate to the cleaner path";
-  EXPECT_GT(agg.subflows[1].w, 2.0 * agg.subflows[0].w)
+  EXPECT_GT(eng.subflow_w(0, 1), 2.0 * eng.subflow_w(0, 0))
       << "window did not follow the gain off the congested link";
 
   // Offline solver agreement on the equilibrium share direction.
@@ -261,6 +265,75 @@ TEST(HybridRun, BackgroundTrafficDepressesForegroundGoodput) {
   EXPECT_LT(res_heavy.goodput.mean(), res_light.goodput.mean() * 0.7);
 }
 
+// ------------------------- bit-exact golden -----------------------------
+
+/// Everything a hybrid run's fluid side leaves behind at the horizon. The
+/// doubles are compared as raw bits and the engine's whole dynamic state as
+/// the CRC32 of its checkpoint payload, so a change to the tick's data
+/// layout that reorders a single floating-point operation fails here.
+struct HybridFingerprint {
+  std::uint64_t ticks = 0;
+  std::uint64_t promotions = 0;
+  std::uint64_t completions = 0;
+  int active_fluid = 0;
+  std::uint64_t fluid_bytes_bits = 0;
+  std::uint64_t mean_mark_p_bits = 0;
+  std::uint32_t state_crc = 0;
+};
+
+HybridFingerprint golden_run(int subflows) {
+  auto cfg = hybrid_cfg();
+  cfg.scheme.subflows = subflows;
+  cfg.duration = sim::Time::seconds(0.05);
+  cfg.hybrid.bg_flows = 64;
+  // Sized so all three aggregate states occur by the horizon: a 3 kB tail
+  // is under one tick of a fast flow's delivery, so some flows step over
+  // it straight to Done and others land inside it and promote, while the
+  // slowest are still Fluid at 50 ms.
+  cfg.hybrid.bg_bytes = 1'000'000;
+  cfg.hybrid.promote_bytes = 3'000;
+  core::World w{cfg, nullptr};
+  w.start(nullptr);
+  w.sched.run_until(cfg.duration);
+  const auto res = w.collect(w.sched.now(), w.sched.dispatched());
+  core::ckpt::Saver s;
+  w.hybrid->save_state(s);
+  HybridFingerprint fp;
+  fp.ticks = res.hybrid.ticks;
+  fp.promotions = res.hybrid.promotions;
+  fp.completions = res.hybrid.fluid_completions;
+  fp.active_fluid = res.hybrid.active_fluid;
+  fp.fluid_bytes_bits = std::bit_cast<std::uint64_t>(res.hybrid.fluid_bytes);
+  fp.mean_mark_p_bits = std::bit_cast<std::uint64_t>(res.hybrid.mean_mark_p);
+  fp.state_crc = core::ckpt::crc32(s.data().data(), s.data().size());
+  return fp;
+}
+
+TEST(HybridGolden, FingerprintMatchesParent) {
+  const HybridFingerprint fp = golden_run(2);
+  EXPECT_EQ(fp.ticks, 250u);
+  EXPECT_EQ(fp.promotions, 17u);
+  EXPECT_EQ(fp.completions, 30u);
+  EXPECT_EQ(fp.active_fluid, 17);
+  EXPECT_EQ(fp.fluid_bytes_bits, 0x418cdfb9c387813dULL);
+  EXPECT_EQ(fp.mean_mark_p_bits, 0x3faf502c8463b933ULL);
+  EXPECT_EQ(fp.state_crc, 0x505ffa81u);
+}
+
+TEST(HybridGolden, SharedPathFingerprintMatchesParent) {
+  // Three subflows over k=4's two aggregation choices: subflows 0 and 2 of
+  // every aggregate pin the same path, so the per-path sums see one
+  // aggregate twice.
+  const HybridFingerprint fp = golden_run(3);
+  EXPECT_EQ(fp.ticks, 250u);
+  EXPECT_EQ(fp.promotions, 18u);
+  EXPECT_EQ(fp.completions, 27u);
+  EXPECT_EQ(fp.active_fluid, 19);
+  EXPECT_EQ(fp.fluid_bytes_bits, 0x418cc57c220fb267ULL);
+  EXPECT_EQ(fp.mean_mark_p_bits, 0x3fb643e7809f1a02ULL);
+  EXPECT_EQ(fp.state_crc, 0x3055c1d6u);
+}
+
 std::string fresh_dir(const std::string& name) {
   const std::string d = ::testing::TempDir() + "xmp_hybrid_" + name;
   std::filesystem::remove_all(d);
@@ -308,6 +381,80 @@ TEST(HybridCkpt, ResumeMatchesUninterrupted) {
     ASSERT_FALSE(a.empty());
     EXPECT_EQ(a, b) << "checkpoint " << s << " diverged after restore";
   }
+}
+
+/// A HYBR payload with `n_links` zeroed link records and one Fluid
+/// aggregate per entry of `subflow_counts`.
+std::string hybr_payload(std::uint64_t n_links, const std::vector<std::uint64_t>& subflow_counts) {
+  core::ckpt::Saver s;
+  s.u64(n_links);
+  for (std::uint64_t i = 0; i < n_links; ++i) {
+    for (int f = 0; f < 6; ++f) s.f64(0.0);
+    s.u64(0);
+    s.u64(0);
+  }
+  s.u64(subflow_counts.size());
+  for (const std::uint64_t n_sf : subflow_counts) {
+    s.u8(0);
+    s.f64(0.0);
+    s.u64(n_sf);
+    for (std::uint64_t j = 0; j < n_sf; ++j) {
+      s.f64(10.0);
+      s.f64(1.0);
+    }
+  }
+  for (int i = 0; i < 3; ++i) s.u64(0);
+  s.f64(0.0);
+  s.f64(0.0);
+  s.b(false);  // no armed tick timer
+  return s.data();
+}
+
+TEST(HybridCkpt, RestoreRejectsMismatchedCounts) {
+  // The config fingerprint normally guarantees the payload's shape, but a
+  // payload that disagrees with the rebuilt engine must be refused rather
+  // than written past the engine's tables.
+  FluidBed bed{2};
+  const std::uint64_t n_links = bed.eng->n_links();
+  auto restores = [&bed](const std::string& payload) {
+    core::ckpt::Loader l{payload};
+    return bed.eng->restore_state(l) && l.done();
+  };
+  EXPECT_TRUE(restores(hybr_payload(n_links, {1, 1})));
+  EXPECT_FALSE(restores(hybr_payload(n_links + 1, {1, 1}))) << "one link too many";
+  EXPECT_FALSE(restores(hybr_payload(n_links, {1, 1, 1}))) << "one aggregate too many";
+  EXPECT_FALSE(restores(hybr_payload(n_links, {1, 4}))) << "wrong subflow count";
+}
+
+// The same refusal through the CLI path: a snapshot whose HYBR link count
+// is off by one (header and CRC rewritten, so only the count is wrong)
+// exits 2 with the restore's one-line reason instead of resuming.
+TEST(HybridCkptDeath, MismatchedLinkCountExits2) {
+  const std::string dir = fresh_dir("mismatch");
+  auto cfg = hybrid_cfg();
+  cfg.checkpoint.every = sim::Time::seconds(0.02);
+  cfg.checkpoint.dir = dir;
+  ASSERT_GE(core::run_experiment(cfg).ckpt.written, 1u);
+
+  core::ckpt::Header h;
+  std::string payload;
+  ASSERT_TRUE(core::ckpt::read_file(dir + "/" + core::ckpt::file_name(1),
+                                    core::ckpt::config_fingerprint(cfg), h, payload));
+  const std::size_t at = payload.find("HYBR");
+  ASSERT_NE(at, std::string::npos);
+  ASSERT_EQ(payload[at + 4], 1) << "HYBR section without engine state";
+  std::uint64_t n_links = 0;
+  std::memcpy(&n_links, payload.data() + at + 5, sizeof n_links);
+  ++n_links;
+  std::memcpy(payload.data() + at + 5, &n_links, sizeof n_links);
+  const std::string bad = dir + "/bad.bin";
+  ASSERT_TRUE(core::ckpt::write_file(bad, h, payload));
+
+  auto resumed = cfg;
+  resumed.checkpoint.dir = fresh_dir("mismatch_out");
+  resumed.checkpoint.restore_path = bad;
+  EXPECT_EXIT((void)core::run_experiment(resumed), ::testing::ExitedWithCode(2),
+              "malformed payload");
 }
 
 TEST(HybridCkpt, FingerprintSeparatesHybridFromPlainRuns) {
