@@ -1,154 +1,34 @@
 // xmpsim — command-line front end to the library.
 //
-//   xmpsim run    --pattern=random --scheme=xmp --subflows=2 [--k=8]
-//                 [--workload=FILE.wl] [--load=0.3]
-//                 [--duration=0.5] [--queue=100] [--mark-k=10] [--beta=4]
-//                 [--seed=1] [--coexist=dctcp] [--csv=flows.csv]
-//                 [--json=summary.json]
-//                 [--routing=pinned|ecmp|wcmp|flowlet] [--flowlet-gap=100]
-//                 [--reroute-delay=0.001] [--rehome=0]
-//                 [--faults="down,link=3,at=0.1; loss,link=5,at=0,p=0.01"]
-//                 [--fault-seed=1] [--dead-after=3] [--invariants]
-//                 [--drops-csv=drops.csv]
-//                 [--trace=timeline.json] [--trace-csv=timeline.csv]
-//                 [--trace-filter=cwnd,gain,queue] [--trace-capacity=262144]
-//                 [--metrics=metrics.json] [--shards=N]
-//                 [--checkpoint-every=SIMTIME] [--checkpoint-dir=DIR]
-//                 [--restore=FILE] [--fct-csv=FILE]
-//                 [--hybrid] [--hybrid-bg=FLOWS[:BYTES]]
-//                 [--hybrid-fg=FLOWS[:BYTES]] [--hybrid-promote-bytes=N]
-//                 [--hybrid-tick=US]
-//       Run one Fat-Tree evaluation and print the paper's summary metrics.
-//       --routing selects how switches spread over equal-cost up-ports
-//       (default pinned = the paper's per-tag deterministic paths; ecmp
-//       ignores tags and exhibits collisions); --flowlet-gap is the flowlet
-//       idle gap in microseconds, --reroute-delay the failure-convergence
-//       delay in seconds. --rehome lets MPTCP move a dead subflow onto a
-//       fresh path up to N times per connection instead of killing it.
-//       With --faults, the plan's events are injected on the simulation
-//       clock (see src/faults/fault_plan.hpp for the grammar); --dead-after
-//       defaults to 3 when faults are given (0 = failover disabled
-//       otherwise); --invariants runs the runtime invariant probe.
-//       --trace writes a Chrome trace-event JSON (open it in Perfetto or
-//       chrome://tracing); --metrics dumps the run's counters/histograms.
-//       Observation never perturbs the simulation: a traced run produces
-//       the same summary, byte for byte, as an untraced one.
-//       --shards=N runs the sharded conservative-sync engine on N worker
-//       threads (one logical shard per pod regardless of N, so every N —
-//       including 1 — produces identical results). Permutation pattern
-//       only; incompatible with --coexist, --routing=flowlet,
-//       --invariants and --rehome.
-//       --checkpoint-every=T writes a verified snapshot (ckpt_<seq>.bin in
-//       --checkpoint-dir, default "."; it must already exist, or the run
-//       exits 2) every T *simulated* seconds at a
-//       quiescent point; --restore=FILE resumes a run from a snapshot and
-//       produces summary/trace/metrics byte-identical to the uninterrupted
-//       run. SIGTERM halts at the next quiescent point, writes a final
-//       checkpoint and a partial summary, and exits 143. Checkpointing is
-//       incompatible with --coexist, --routing=flowlet and --rehome, and
-//       --checkpoint-every with --invariants (see `replay` for that).
-//       --workload=FILE replaces --pattern with an empirical workload file
-//       (DESIGN.md §13): open-loop Poisson arrivals whose sizes come from a
-//       flow-size CDF, plus optional explicit flows; --load=0.X sets the
-//       offered load per sender (overriding the file's `load` directive).
-//       The run then reports FCT slowdown p50/p95/p99 per flow-size bin
-//       (and an "fct" block in --json). Composes with --faults, --routing
-//       and checkpointing; incompatible with --coexist and --shards.
-//       --fct-csv=FILE writes one row per flow of a --workload run
-//       (id,bytes,start_s,finish_s,completed,slowdown; censored flows carry
-//       finish_s=-1); in sweeps it becomes one file per job.
-//       --hybrid runs the hybrid fluid/packet engine (DESIGN.md §14):
-//       --hybrid-bg fluid background aggregates evolve as per-RTT BOS/TraSh
-//       ODEs (default 1000, unbounded size unless :BYTES is given) while
-//       --hybrid-fg packet-accurate foreground flows (default 4 x 8 MB,
-//       restarted on completion) ride the same queues; the two couple
-//       through per-queue fluid backlog (ECN marking), residual link
-//       capacity, and measured packet drain. --hybrid-promote-bytes=N hands
-//       a finite fluid flow to the packet domain for its last N bytes;
-//       --hybrid-tick=US sets the fluid step (default 200 us, ~ one RTT).
-//       Requires --scheme=xmp; replaces --pattern; composes with
-//       checkpointing, --trace and --metrics; incompatible with --shards,
-//       --coexist, --workload and --faults. A snapshot from a non-hybrid
-//       run never restores into a hybrid one (config fingerprint).
+//   xmpsim <run|replay|verify|fluid|sweep|topo> [--flag=value ...]
+//   xmpsim <command> --help     the flags a command takes, with defaults
 //
-//   xmpsim replay --restore=FILE [--trace=...] [--invariants] ...
-//       Re-run a snapshot to completion without writing new checkpoints —
-//       for replaying a crash-point capture under extra observability
-//       (--trace, --trace-csv, --metrics, --invariants). The snapshot's
-//       config fingerprint must match the flags given.
-//
-//   xmpsim verify [--faults=PLAN] [--dir=DIR] [--checkpoint-every=SIMTIME]
-//                 ... any scenario flags accepted by `run` ...
-//       Differential validation harness (DESIGN.md §15): runs the same
-//       scenario four times — serial (--shards=1), --shards=2, a
-//       checkpointed reference, and a SIGKILL-mid-run + --restore leg —
-//       each in its own sub-directory of DIR (default: a fresh temp dir,
-//       removed on success, kept and named on failure). It then requires
-//       summary.json and drops.csv to be byte-identical across ALL legs,
-//       and trace.csv/metrics.json/out.txt to be byte-identical within
-//       each engine-config pair (serial vs shards=2; checkpointed vs
-//       kill+restore) — checkpointing legitimately adds CkptWrite trace
-//       events and harness.ckpt.* meters, so those files are only compared
-//       between legs with identical checkpoint flags. Exit 0 = all legs
-//       agree, 1 = divergence (the differing file and legs are named),
-//       2 = bad flags. The harness owns --shards, --checkpoint-dir,
-//       --restore and every output path; --checkpoint-every only sets the
-//       kill leg's snapshot cadence (default 0.005). Scenario flags are
-//       validated up front with the same rules as `run` under --shards.
-//
-//   xmpsim fluid  --capacity-gbps=1 --flows=3 [--beta=4] [--rtt-us=300]
-//       Closed-form BOS equilibrium on a single bottleneck (paper §2.1).
-//
-//   xmpsim sweep  --param={mark-k|beta|subflows|queue|seed|load} --values=a,b,c
-//                 [--schemes=xmp,dctcp,lia,olia] [--jobs=N] ...
-//       Re-run `run` for each value and tabulate average goodput. Points
-//       run concurrently on N worker threads (default: hardware cores);
-//       results are identical to a serial sweep, in the order given.
-//       --param=load sweeps the offered load of a --workload=FILE run (an
-//       FCT study); --schemes crosses the value list with a scheme list
-//       (grid = schemes x values) and campaigns emit a ready-to-plot
-//       fct_summary.json next to sweep_summary.json.
-//       --trace/--trace-csv/--metrics apply per job: "trace.json" becomes
-//       "trace.0.json", "trace.1.json", ... (one file per sweep point).
-//
-//       With --out=DIR the sweep becomes a resilient *campaign*: every job
-//       runs crash-isolated in its own process, a watchdog kills attempts
-//       that exceed --job-timeout=SECONDS, and failures are retried up to
-//       --retries=N times with exponential backoff (--backoff=SECONDS base,
-//       deterministic per-job jitter). DIR accumulates job_<i>.json result
-//       files, a sweep_manifest.json updated atomically after every state
-//       change, the aggregate sweep_summary.json, and the harness's own
-//       metrics/trace (harness_metrics.json, harness_trace.json).
-//
-//       xmpsim sweep --resume=DIR picks a campaign back up: jobs already
-//       succeeded are not re-run, and the final summary is byte-identical
-//       to an uninterrupted campaign. The original command line is stored
-//       in the manifest, so --resume=DIR alone suffices; flags given next
-//       to --resume override the stored ones (e.g. a new --job-timeout).
-//       Jobs that exhaust their retries are listed under "incomplete" in
-//       the summary; the campaign still salvages every survivor and exits
-//       0 unless --strict is given (then exit 1).
-//
-//   xmpsim topo   [--k=8]
-//       Print Fat-Tree dimensions and delay budget for a given k.
-//
-// All flag values are validated up front: a malformed or out-of-range value
-// prints one line naming the flag, the offending value and the accepted
-// range, then exits 2 (never an assert).
+// Every flag is one row of kFlags: its kind, default, range, the commands
+// that take it and a help line. parse() walks the arguments once, and
+// kRules lists the feature combinations the engines do not support. Both
+// reject with one line on stderr and exit 2, as does every malformed or
+// out-of-range value: never an assert, never a silently different run.
+// DESIGN.md §16 describes the table, the rules and the sweep executor.
 
 #include <csignal>
 #include <sys/stat.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <array>
 #include <atomic>
+#include <bit>
 #include <cerrno>
 #include <chrono>
+#include <climits>
+#include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -173,37 +53,164 @@ std::atomic<bool> g_stop{false};
 
 extern "C" void on_sigterm(int) { g_stop.store(true); }
 
-class Args {
- public:
-  Args(int argc, char** argv) {
-    for (int i = 2; i < argc; ++i) args_.emplace_back(argv[i]);
+/// Prints "xmpsim: <message>" as one line on stderr; returns false.
+[[gnu::format(printf, 1, 2)]] bool fail(const char* fmt, ...) {
+  std::fputs("xmpsim: ", stderr);
+  va_list ap;
+  va_start(ap, fmt);
+  std::vfprintf(stderr, fmt, ap);
+  va_end(ap);
+  std::fputc('\n', stderr);
+  return false;
+}
+
+// --- the flag table --------------------------------------------------------
+
+/// Commands, one bit each, so that a row names the set that takes it.
+enum : unsigned { kRun = 1, kReplay = 2, kVerify = 4, kFluid = 8, kSweep = 16, kTopo = 32 };
+/// Row bit: verify sets this flag on its legs itself and rejects it by name.
+constexpr unsigned kOwned = 64;
+/// What config_from reads: every command that builds a run.
+constexpr unsigned kScenario = kRun | kReplay | kVerify | kSweep;
+/// Per-run choices that verify makes for each leg.
+constexpr unsigned kPerLeg = kRun | kReplay | kSweep | kOwned;
+/// Run-only outputs and inputs that verify also makes for each leg.
+constexpr unsigned kRunOnly = kRun | kReplay | kOwned;
+
+/// In bit order: command_name() indexes it by bit position.
+constexpr struct {
+  const char* name;
+  unsigned bit;
+  const char* summary;
+} kCommands[] = {
+    {"run", kRun, "run one Fat-Tree evaluation and print the paper's summary metrics"},
+    {"replay", kReplay, "run a snapshot to the end under extra observability, writing none"},
+    {"verify", kVerify, "run a scenario sharded, checkpointed and killed+restored; byte-compare"},
+    {"fluid", kFluid, "closed-form BOS equilibrium on a single bottleneck (paper §2.1)"},
+    {"sweep", kSweep, "run a grid of runs crash-isolated and tabulate goodput (and FCT)"},
+    {"topo", kTopo, "print Fat-Tree dimensions and the delay budget"},
+};
+
+enum class Kind : std::uint8_t { Int, Double, List, Enum, String, Bool };
+
+/// One flag. `def` is the value an absent flag takes, spelt as on the
+/// command line ("" = none); [lo, hi] bounds an Int or Double. `meta` names
+/// the value in --help; for an Enum it lists the choices "a|b|c", and so it
+/// does for the entries of a List, whose entries are numbers when it is null.
+struct Flag {
+  const char* name;
+  Kind kind;
+  unsigned cmds;
+  const char* def;
+  double lo;
+  double hi;
+  const char* meta;
+  const char* help;
+  const char* needs = nullptr;  ///< a flag without which this one means nothing
+};
+
+constexpr const char* kSchemeNames = "tcp|dctcp|xmp|lia|olia";
+constexpr double kInt64Max = 9223372036854775807.0;  // rounds to 2^63; see read_value
+constexpr double kTiB = 1099511627776.0;
+
+using enum Kind;
+constexpr Flag kFlags[] = {
+    // Traffic and transport.
+    {"pattern", Enum, kScenario, "random", 0, 0, "permutation|random|incast", "synthetic traffic"},
+    {"workload", String, kScenario, "", 0, 0, "FILE", "empirical workload file, for --pattern"},
+    {"load", Double, kScenario, "", 1e-4, 1.2, "X", "offered load (or the file's)", "workload"},
+    {"scheme", Enum, kScenario, "xmp", 0, 0, kSchemeNames, "congestion control under study"},
+    {"coexist", Enum, kScenario, "", 0, 0, kSchemeNames, "a second scheme on half the senders"},
+    {"subflows", Int, kScenario, "2", 1, 64, "N", "subflows per multipath connection"},
+    {"beta", Int, kScenario, "4", 1, 1000, "N", "XMP's BOS reduction factor"},
+    {"rounds", Int, kScenario, "2", 1, 1000, "N", "permutation rounds"},
+    {"scale", Int, kScenario, "1", 1, 1e6, "N", "multiplies every synthetic flow size"},
+    {"seed", Int, kScenario, "1", 0, kInt64Max, "N", "simulation seed"},
+    // Fabric and routing.
+    {"k", Int, kScenario | kTopo, "8", 2, 64, "N", "Fat-Tree arity (even)"},
+    {"duration", Double, kScenario, "0.5", 1e-6, 3600, "X", "simulated seconds"},
+    {"queue", Int, kScenario, "100", 1, 1e6, "N", "queue capacity per port (packets)"},
+    {"mark-k", Int, kScenario, "10", 1, 1e6, "N", "ECN marking threshold K (packets)"},
+    {"routing", Enum, kScenario, "pinned", 0, 0, "pinned|ecmp|wcmp|flowlet", "up-port choice"},
+    {"flowlet-gap", Int, kScenario, "100", 1, 1e9, "N", "flowlet idle gap (us)"},
+    {"reroute-delay", Double, kScenario, "0.001", 0, 60, "X", "failure convergence delay (s)"},
+    // Faults.
+    {"faults", String, kScenario, "", 0, 0, "PLAN", "fault plan (src/faults/fault_plan.hpp)"},
+    {"fault-seed", Int, kScenario, "1", 0, kInt64Max, "N", "seed of the fault layer's draws"},
+    {"dead-after", Int, kScenario, "", 0, 1000, "N", "RTOs to subflow death (--faults: 3, else 0)"},
+    {"rehome", Int, kScenario, "0", 0, 1000, "N", "move a dead subflow up to N times"},
+    {"invariants", Bool, kScenario, "", 0, 0, "", "runtime invariant probe (exit 3 if violated)"},
+    // Engines (DESIGN.md §11, §14).
+    {"shards", Int, kPerLeg, "0", 0, 4096, "N", "sharded engine on N threads (0 = serial)"},
+    {"hybrid", Bool, kScenario, "", 0, 0, "", "hybrid fluid/packet engine"},
+    {"hybrid-bg", String, kScenario, "", 0, 0, "FLOWS[:BYTES]", "fluid flows (1000)", "hybrid"},
+    {"hybrid-fg", String, kScenario, "", 0, 0, "FLOWS[:BYTES]", "packet flows (4:8e6)", "hybrid"},
+    {"hybrid-promote-bytes", Int, kScenario, "0", 0, kTiB, "N", "packet tail bytes", "hybrid"},
+    {"hybrid-tick", Int, kScenario, "200", 10, 1e6, "N", "fluid step (us)", "hybrid"},
+    // Checkpoints (DESIGN.md §12).
+    {"checkpoint-every", Double, kScenario, "", 1e-6, 3600, "X", "snapshot period (verify: 0.005)"},
+    {"checkpoint-dir", String, kPerLeg, ".", 0, 0, "DIR", "existing directory for snapshots"},
+    {"restore", String, kRunOnly, "", 0, 0, "FILE", "resume from a snapshot"},
+    // Observation; in a sweep, trace.json becomes trace.<job>.json.
+    {"trace", String, kPerLeg, "", 0, 0, "FILE", "Chrome trace-event JSON (Perfetto)"},
+    {"trace-csv", String, kPerLeg, "", 0, 0, "FILE", "the timeline as CSV"},
+    {"trace-filter", String, kScenario, "", 0, 0, "LIST", "timeline categories: cwnd,gain,..."},
+    {"trace-capacity", Int, kScenario, "262144", 1, 1 << 26, "N", "timeline ring size"},
+    {"metrics", String, kPerLeg, "", 0, 0, "FILE", "counters and histograms JSON"},
+    {"fct-csv", String, kPerLeg, "", 0, 0, "FILE", "one row per flow", "workload"},
+    {"csv", String, kRunOnly, "", 0, 0, "FILE", "per-flow results"},
+    {"json", String, kRunOnly, "", 0, 0, "FILE", "summary JSON"},
+    {"drops-csv", String, kRunOnly, "", 0, 0, "FILE", "per-link drops and impairments"},
+    // verify.
+    {"dir", String, kVerify, "", 0, 0, "DIR", "where the legs run (default: a temp dir)"},
+    // sweep (DESIGN.md §10).
+    {"param", Enum, kSweep, "mark-k", 0, 0, "mark-k|beta|subflows|queue|seed|load", "swept"},
+    {"values", List, kSweep, "", 0, 0, nullptr, "swept values"},
+    {"schemes", List, kSweep, "", 0, 0, kSchemeNames, "cross the values with these schemes"},
+    {"jobs", Int, kSweep, "", 1, 4096, "N", "concurrent jobs (default: hardware cores)"},
+    {"out", String, kSweep, "", 0, 0, "DIR", "keep the campaign in DIR (default: a temp dir)"},
+    {"resume", String, kSweep, "", 0, 0, "DIR", "finish a campaign; flags given override it"},
+    {"job-timeout", Double, kSweep, "0", 0, 86400, "X", "wall seconds per attempt (0 = none)"},
+    {"retries", Int, kSweep, "2", 0, 100, "N", "extra attempts after a failed one"},
+    {"backoff", Double, kSweep, "0.5", 0, 3600, "X", "retry backoff base (s)"},
+    {"strict", Bool, kSweep, "", 0, 0, "", "exit 1 when a job exhausts its retries"},
+    // fluid.
+    {"capacity-gbps", Double, kFluid, "1", 0.001, 10000, "X", "bottleneck capacity"},
+    {"flows", Int, kFluid, "3", 1, 1e6, "N", "flows sharing it"},
+    {"beta", Double, kFluid, "4", 1, 1000, "X", "BOS reduction factor"},
+    {"rtt-us", Double, kFluid, "300", 0.1, 1e7, "X", "round-trip time (us)"},
+};
+constexpr std::size_t kNumFlags = std::size(kFlags);
+
+/// A row of kFlags, found at compile time: a misspelt name does not build
+/// (the search runs off the end of the table). `cmd` picks among rows that
+/// share a name.
+struct Key {
+  std::size_t i = 0;
+  consteval Key(const char* name, unsigned cmd = ~0u) {  // NOLINT: implicit on purpose
+    while (std::string_view{kFlags[i].name} != name || (kFlags[i].cmds & cmd) == 0) ++i;
   }
-  /// Build from a raw flag vector (used to replay a manifest's stored argv).
-  explicit Args(std::vector<std::string> raw) : args_{std::move(raw)} {}
+};
 
-  /// The flags verbatim, in order. `get` returns the *first* match, so
-  /// prepending new flags to a stored vector overrides the stored values.
-  [[nodiscard]] const std::vector<std::string>& raw() const { return args_; }
+struct Value {
+  bool given = false;
+  std::string raw;           ///< as typed, or the row's default
+  double num = 0;            ///< Int and Double rows
+  std::int64_t integer = 0;  ///< Int rows
+  std::vector<double> list;  ///< numeric List rows
+};
 
-  [[nodiscard]] std::string get(const std::string& key, const std::string& fallback) const {
-    const std::string prefix = "--" + key + "=";
-    for (const auto& a : args_) {
-      if (a.rfind(prefix, 0) == 0) return a.substr(prefix.size());
-    }
-    return fallback;
-  }
+/// The parsed arguments of one command: each row's value, given or default.
+struct Flags {
+  unsigned cmd = 0;
+  std::vector<std::string> argv;  ///< the arguments as given
+  std::array<Value, kNumFlags> v;
 
-  /// Bare boolean flag (`--invariants`, no value).
-  [[nodiscard]] bool has(const std::string& key) const {
-    const std::string flag = "--" + key;
-    for (const auto& a : args_) {
-      if (a == flag) return true;
-    }
-    return false;
-  }
-
- private:
-  std::vector<std::string> args_;
+  [[nodiscard]] bool has(Key k) const { return v[k.i].given; }
+  [[nodiscard]] const std::string& str(Key k) const { return v[k.i].raw; }
+  [[nodiscard]] double num(Key k) const { return v[k.i].num; }
+  [[nodiscard]] std::int64_t integer(Key k) const { return v[k.i].integer; }
+  [[nodiscard]] const std::vector<double>& list(Key k) const { return v[k.i].list; }
 };
 
 /// Strict numeric parsing: the whole token must be consumed, no overflow.
@@ -223,175 +230,334 @@ bool parse_integer(const std::string& v, std::int64_t& out) {
   return errno == 0 && end != nullptr && *end == '\0';
 }
 
-/// Validated flag accessors. A missing flag yields `fallback` untouched; a
-/// present-but-malformed or out-of-range value prints one line naming the
-/// flag, the value and the accepted range, and clears `ok` (callers exit 2).
-double flag_d(const Args& args, const char* key, double fallback, double lo, double hi, bool& ok) {
-  const std::string v = args.get(key, "");
-  if (v.empty()) return fallback;
-  double out = 0;
-  if (!parse_number(v, out) || out < lo || out > hi) {
-    std::fprintf(stderr, "xmpsim: bad --%s=%s (expected a number in [%g, %g])\n", key, v.c_str(),
-                 lo, hi);
-    ok = false;
-    return fallback;
+/// "a,b,c" -> {a, b, c}; a trailing separator ends the list.
+std::vector<std::string> split(const std::string& s, char sep = ',') {
+  std::vector<std::string> out;
+  for (std::size_t at = 0; at < s.size();) {
+    const auto next = s.find(sep, at);
+    out.push_back(s.substr(at, next == std::string::npos ? next : next - at));
+    if (next == std::string::npos) break;
+    at = next + 1;
   }
   return out;
 }
 
-std::int64_t flag_i(const Args& args, const char* key, std::int64_t fallback, std::int64_t lo,
-                    std::int64_t hi, bool& ok) {
-  const std::string v = args.get(key, "");
-  if (v.empty()) return fallback;
-  std::int64_t out = 0;
-  if (!parse_integer(v, out) || out < lo || out > hi) {
-    std::fprintf(stderr, "xmpsim: bad --%s=%s (expected an integer in [%lld, %lld])\n", key,
-                 v.c_str(), static_cast<long long>(lo), static_cast<long long>(hi));
-    ok = false;
-    return fallback;
-  }
-  return out;
+/// Position of `v` among the choices "a|b|c", or npos.
+std::size_t choice_index(const char* choices, const std::string& v) {
+  const auto all = split(choices, '|');
+  const auto it = std::find(all.begin(), all.end(), v);
+  return it == all.end() ? std::string::npos : static_cast<std::size_t>(it - all.begin());
 }
 
-std::vector<double> flag_list(const Args& args, const char* key, bool& ok) {
-  std::vector<double> out;
-  std::string v = args.get(key, "");
-  while (!v.empty()) {
-    const auto comma = v.find(',');
-    const std::string token = v.substr(0, comma);
-    double num = 0;
-    if (!parse_number(token, num)) {
-      std::fprintf(stderr, "xmpsim: bad --%s entry '%s' (expected a number)\n", key,
-                   token.c_str());
-      ok = false;
-      return {};
-    }
-    out.push_back(num);
-    if (comma == std::string::npos) break;
-    v = v.substr(comma + 1);
+/// Reads `text` as row `f` demands; false after one line naming the flag,
+/// the value and what it accepts.
+bool read_value(const Flag& f, const std::string& text, Value& out) {
+  out.raw = text;
+  switch (f.kind) {
+    case Kind::Int:
+      if (parse_integer(text, out.integer) && out.integer >= f.lo && out.integer <= f.hi) {
+        out.num = static_cast<double>(out.integer);
+        return true;
+      }
+      // kInt64Max is 2^63 as a double; converting it back would overflow.
+      return fail("bad --%s=%s (expected an integer in [%lld, %lld])", f.name, text.c_str(),
+                  static_cast<long long>(f.lo),
+                  f.hi >= kInt64Max ? LLONG_MAX : static_cast<long long>(f.hi));
+    case Kind::Double:
+      if (parse_number(text, out.num) && out.num >= f.lo && out.num <= f.hi) return true;
+      return fail("bad --%s=%s (expected a number in [%g, %g])", f.name, text.c_str(), f.lo, f.hi);
+    case Kind::Enum:
+      if (choice_index(f.meta, text) != std::string::npos) return true;
+      return fail("bad --%s=%s (expected %s)", f.name, text.c_str(), f.meta);
+    case Kind::List:
+      for (const std::string& entry : split(text)) {
+        double x = 0;
+        if (f.meta != nullptr ? choice_index(f.meta, entry) == std::string::npos
+                              : !parse_number(entry, x)) {
+          return fail("bad --%s entry '%s' (expected %s)", f.name, entry.c_str(),
+                      f.meta != nullptr ? f.meta : "a number");
+        }
+        if (f.meta == nullptr) out.list.push_back(x);
+      }
+      return true;
+    case Kind::String:
+    case Kind::Bool:
+      return true;
   }
-  return out;
-}
-
-bool parse_scheme(const std::string& name, int subflows, int beta, workload::SchemeSpec& out) {
-  if (name == "tcp") {
-    out.kind = workload::SchemeSpec::Kind::Tcp;
-  } else if (name == "dctcp") {
-    out.kind = workload::SchemeSpec::Kind::Dctcp;
-  } else if (name == "xmp") {
-    out.kind = workload::SchemeSpec::Kind::Xmp;
-  } else if (name == "lia") {
-    out.kind = workload::SchemeSpec::Kind::Lia;
-  } else if (name == "olia") {
-    out.kind = workload::SchemeSpec::Kind::Olia;
-  } else {
-    return false;
-  }
-  out.subflows = subflows;
-  out.beta = beta;
   return true;
 }
 
-core::ExperimentConfig config_from(const Args& args, bool& ok) {
-  core::ExperimentConfig cfg;
-  ok = true;
+/// Index of the row called `name` that one of `cmds` takes, or kNumFlags.
+std::size_t row_of(std::string_view name, unsigned cmds) {
+  std::size_t i = 0;
+  while (i < kNumFlags && (kFlags[i].name != name || (kFlags[i].cmds & cmds) == 0)) ++i;
+  return i;
+}
 
-  const std::string pattern = args.get("pattern", "random");
-  if (pattern == "permutation") {
-    cfg.pattern = core::Pattern::Permutation;
-  } else if (pattern == "random") {
-    cfg.pattern = core::Pattern::Random;
-  } else if (pattern == "incast") {
-    cfg.pattern = core::Pattern::Incast;
-  } else {
-    std::fprintf(stderr, "xmpsim: bad --pattern=%s (expected permutation|random|incast)\n",
-                 pattern.c_str());
-    ok = false;
+const char* command_name(unsigned cmd) { return kCommands[std::countr_zero(cmd)].name; }
+
+/// Edit distance counting a swap of neighbours as one edit, so that
+/// "shrads" is one step from "shards".
+std::size_t edit_distance(const std::string& a, const std::string& b) {
+  std::vector<std::vector<std::size_t>> d(a.size() + 1, std::vector<std::size_t>(b.size() + 1));
+  for (std::size_t i = 0; i <= a.size(); ++i) d[i][0] = i;
+  for (std::size_t j = 0; j <= b.size(); ++j) d[0][j] = j;
+  for (std::size_t i = 1; i <= a.size(); ++i) {
+    for (std::size_t j = 1; j <= b.size(); ++j) {
+      d[i][j] = std::min({d[i - 1][j] + 1, d[i][j - 1] + 1,
+                          d[i - 1][j - 1] + (a[i - 1] == b[j - 1] ? 0 : 1)});
+      if (i > 1 && j > 1 && a[i - 1] == b[j - 2] && a[i - 2] == b[j - 1]) {
+        d[i][j] = std::min(d[i][j], d[i - 2][j - 2] + 1);
+      }
+    }
+  }
+  return d[a.size()][b.size()];
+}
+
+/// One line for a flag that `cmd` does not take: the commands that do, or
+/// else the nearest name that `cmd` takes.
+bool reject_unknown(const std::string& name, unsigned cmd) {
+  std::string owners;
+  for (const auto& c : kCommands) {
+    if (row_of(name, c.bit) == kNumFlags) continue;
+    owners += owners.empty() ? "" : ", ";
+    owners += c.name;
+  }
+  if (!owners.empty()) {
+    return fail("--%s is not a %s flag (it belongs to %s)", name.c_str(), command_name(cmd),
+                owners.c_str());
+  }
+  const Flag* best = nullptr;
+  std::size_t best_d = SIZE_MAX;
+  for (const Flag& f : kFlags) {
+    if ((f.cmds & cmd) == 0) continue;
+    const std::size_t d = edit_distance(name, f.name);
+    if (d < best_d) {
+      best = &f;
+      best_d = d;
+    }
+  }
+  return fail("unknown flag --%s (did you mean --%s?)", name.c_str(), best->name);
+}
+
+/// Walks `argv` once for command `cmd`; false after one line on stderr for
+/// a positional argument, a flag `cmd` does not take (with the nearest
+/// name), a repeat, a value on a bare flag or none on another, a bad value,
+/// or a flag that verify sets itself.
+bool parse(unsigned cmd, std::vector<std::string> argv, Flags& out) {
+  out.cmd = cmd;
+  for (std::size_t i = 0; i < kNumFlags; ++i) {
+    out.v[i] = Value{};
+    if (*kFlags[i].def != '\0') read_value(kFlags[i], kFlags[i].def, out.v[i]);
+  }
+  const unsigned takes = cmd == kVerify ? kVerify | kOwned : cmd;
+  for (const std::string& arg : argv) {
+    if (arg.size() < 3 || arg.compare(0, 2, "--") != 0) {
+      return fail("unexpected argument '%s' (flags are --name=value)", arg.c_str());
+    }
+    const auto eq = arg.find('=');
+    const std::string name = arg.substr(2, eq == std::string::npos ? eq : eq - 2);
+    const std::size_t i = row_of(name, takes);
+    if (i == kNumFlags) return reject_unknown(name, cmd);
+    const Flag& f = kFlags[i];
+    if (out.v[i].given) return fail("--%s given twice", f.name);
+    if (f.kind == Kind::Bool) {
+      if (eq != std::string::npos) return fail("--%s takes no value (got %s)", f.name, arg.c_str());
+    } else if (eq == std::string::npos || eq + 1 == arg.size()) {
+      return fail("--%s needs a value", f.name);
+    } else {
+      out.v[i] = Value{};
+      if (!read_value(f, arg.substr(eq + 1), out.v[i])) return false;
+    }
+    out.v[i].given = true;
+    if (cmd == kVerify && (f.cmds & kOwned) != 0) {
+      return fail("verify drives --%s itself (drop it)", f.name);
+    }
+  }
+  out.argv = std::move(argv);
+  return true;
+}
+
+/// The command list (cmd 0) or the flags of one command, with defaults.
+void usage(std::FILE* out, unsigned cmd) {
+  if (cmd == 0) {
+    std::fprintf(out, "usage: xmpsim <command> [--flag=value ...]\n");
+    for (const auto& c : kCommands) std::fprintf(out, "  %-7s %s\n", c.name, c.summary);
+    std::fprintf(out, "`xmpsim <command> --help` lists the flags of a command.\n");
+    return;
+  }
+  std::fprintf(out, "usage: xmpsim %s [--flag=value ...]\n", command_name(cmd));
+  for (const Flag& f : kFlags) {
+    if ((f.cmds & cmd) == 0) continue;
+    std::string spec = std::string{"--"} + f.name;
+    if (f.kind == Kind::List) {
+      spec += std::string{"="} + (f.meta != nullptr ? f.meta : "X") + ",...";
+    } else if (f.kind != Kind::Bool) {
+      spec += std::string{"="} + f.meta;
+    }
+    std::fprintf(out, "  %-36s %s", spec.c_str(), f.help);
+    if (*f.def != '\0') std::fprintf(out, " [default %s]", f.def);
+    if (f.needs != nullptr) std::fprintf(out, " [needs --%s]", f.needs);
+    std::fprintf(out, "\n");
+  }
+}
+
+// --- from flags to a run configuration ---------------------------------------
+
+/// What a run is (modes) and what it combines them with (features), one bit
+/// each, for kRules.
+constexpr unsigned kReplaying = 1u << 0;
+constexpr unsigned kVerifying = 1u << 1;
+constexpr unsigned kSharded = 1u << 2;
+constexpr unsigned kHybrid = 1u << 3;
+constexpr unsigned kWorkload = 1u << 4;
+constexpr unsigned kCheckpointed = 1u << 5;  ///< --checkpoint-every or --restore
+constexpr unsigned kWritesSnapshots = 1u << 6;
+constexpr unsigned kFresh = 1u << 7;  ///< no --restore
+constexpr unsigned kCoexist = 1u << 8;
+constexpr unsigned kFlowlet = 1u << 9;
+constexpr unsigned kInvariants = 1u << 10;
+constexpr unsigned kRehome = 1u << 11;
+constexpr unsigned kFaults = 1u << 12;
+constexpr unsigned kPattern = 1u << 13;  ///< --pattern given
+constexpr unsigned kNotXmp = 1u << 14;
+constexpr unsigned kNotPermutation = 1u << 15;
+
+/// The combinations the engines do not support: a run with mode `when` and
+/// feature `with` exits 2 with `msg`, whose %s is the feature's value. The
+/// first match wins, so engine-level reasons come before generic ones.
+constexpr struct Rule {
+  unsigned when;
+  unsigned with;
+  const char* msg;
+} kRules[] = {
+    {kVerifying, kInvariants,
+     "verify legs run under --shards; --invariants is serial-only (use `run --invariants` "
+     "directly)"},
+    {kVerifying, kHybrid, "--hybrid is serial-engine-only; verify needs --shards legs"},
+    {kReplaying, kFresh, "replay needs --restore=FILE"},
+    {kReplaying, kWritesSnapshots, "replay never writes checkpoints (drop --checkpoint-every)"},
+    // The fluid ODEs implement the paper's §2 XMP dynamics only.
+    {kHybrid, kNotXmp, "--hybrid requires --scheme=xmp (got %s)"},
+    {kHybrid, kPattern, "--hybrid replaces --pattern (drop --pattern=%s)"},
+    {kHybrid, kWorkload, "--hybrid is incompatible with --workload"},
+    {kHybrid, kCoexist, "--hybrid is incompatible with --coexist"},
+    {kHybrid, kFaults, "--hybrid is incompatible with --faults"},
+    {kHybrid, kSharded, "--hybrid is incompatible with --shards (serial engine only)"},
+    {kWorkload, kPattern, "--workload replaces --pattern (drop --pattern=%s)"},
+    {kWorkload, kCoexist, "--workload is incompatible with --coexist"},
+    // The sharded engine supports a precise subset of the serial features
+    // (DESIGN.md §11), and checkpoint hooks another (§12).
+    {kSharded, kNotPermutation, "--shards requires --pattern=permutation (got %s)"},
+    {kSharded, kCoexist, "--shards is incompatible with --coexist"},
+    {kSharded, kFlowlet, "--shards is incompatible with --routing=flowlet"},
+    {kSharded, kInvariants, "--shards is incompatible with --invariants"},
+    {kSharded, kRehome, "--shards is incompatible with --rehome"},
+    {kCheckpointed, kCoexist, "checkpointing is incompatible with --coexist"},
+    {kCheckpointed, kFlowlet, "checkpointing is incompatible with --routing=flowlet"},
+    {kCheckpointed, kRehome, "checkpointing is incompatible with --rehome"},
+    {kWritesSnapshots, kInvariants,
+     "--invariants is incompatible with --checkpoint-every (use 'xmpsim replay --restore=FILE "
+     "--invariants' instead)"},
+};
+
+workload::SchemeSpec::Kind scheme_kind(const std::string& name) {
+  using K = workload::SchemeSpec::Kind;
+  constexpr K kKinds[] = {K::Tcp, K::Dctcp, K::Xmp, K::Lia, K::Olia};  // as in kSchemeNames
+  return kKinds[choice_index(kSchemeNames, name)];
+}
+
+bool even_k(std::int64_t k) {
+  return k % 2 == 0 || fail("bad --k=%lld (expected an even integer in [2, 64])",
+                            static_cast<long long>(k));
+}
+
+/// FLOWS[:BYTES], e.g. "--hybrid-bg=100000" or "--hybrid-bg=1000:64000000".
+bool read_count(const Flags& f, Key key, int& count, std::int64_t& bytes) {
+  if (!f.has(key)) return true;
+  const std::string& v = f.str(key);
+  const auto colon = v.find(':');
+  std::int64_t n = 0;
+  std::int64_t b = bytes;
+  bool good = parse_integer(v.substr(0, colon), n) && n >= 1 && n <= 2'000'000;
+  if (good && colon != std::string::npos) good = parse_integer(v.substr(colon + 1), b) && b >= 1;
+  if (!good) {
+    return fail("bad --%s=%s (expected FLOWS[:BYTES], flows in [1, 2000000], bytes >= 1)",
+                kFlags[key.i].name, v.c_str());
+  }
+  count = static_cast<int>(n);
+  bytes = b;
+  return true;
+}
+
+/// Builds the run configuration; false after one line on stderr. parse()
+/// checked each value alone, and kRules checks the combinations, so only
+/// checks that depend on values in more than one flag, or on files, stay
+/// here.
+bool config_from(const Flags& f, core::ExperimentConfig& cfg) {
+  for (std::size_t i = 0; i < kNumFlags; ++i) {
+    const Flag& row = kFlags[i];
+    if (row.needs == nullptr || !f.v[i].given) continue;
+    const std::size_t j = row_of(row.needs, ~0u);
+    if (!f.v[j].given) {
+      const bool bare = kFlags[j].kind == Kind::Bool;
+      return fail("--%s needs --%s%s%s", row.name, row.needs, bare ? "" : "=",
+                  bare ? "" : kFlags[j].meta);
+    }
   }
 
-  const std::string workload_file = args.get("workload", "");
-  cfg.offered_load = flag_d(args, "load", 0.0, 0.0001, 1.2, ok);
-  if (!workload_file.empty()) {
-    if (!args.get("pattern", "").empty()) {
-      std::fprintf(stderr, "xmpsim: --workload replaces --pattern (drop --pattern=%s)\n",
-                   pattern.c_str());
-      ok = false;
-    }
+  constexpr core::Pattern kPatterns[] = {core::Pattern::Permutation, core::Pattern::Random,
+                                         core::Pattern::Incast};  // as in kFlags
+  cfg.pattern = kPatterns[choice_index(kFlags[Key{"pattern"}.i].meta, f.str("pattern"))];
+  cfg.offered_load = f.num("load");
+  if (f.has("workload")) {
     auto spec = std::make_shared<workload::WorkloadSpec>();
     std::string werr;
-    if (!workload::WorkloadSpec::parse_file(workload_file, *spec, &werr)) {
-      std::fprintf(stderr, "xmpsim: bad --workload: %s\n", werr.c_str());
-      ok = false;
-    } else {
-      cfg.pattern = core::Pattern::Workload;
-      cfg.workload = std::move(spec);
+    if (!workload::WorkloadSpec::parse_file(f.str("workload"), *spec, &werr)) {
+      return fail("bad --workload: %s", werr.c_str());
     }
-  } else if (!args.get("load", "").empty()) {
-    std::fprintf(stderr, "xmpsim: --load needs --workload=FILE\n");
-    ok = false;
+    cfg.pattern = core::Pattern::Workload;
+    cfg.workload = std::move(spec);
   }
 
-  const int subflows = static_cast<int>(flag_i(args, "subflows", 2, 1, 64, ok));
-  const int beta = static_cast<int>(flag_i(args, "beta", 4, 1, 1000, ok));
-  const std::string scheme = args.get("scheme", "xmp");
-  if (!parse_scheme(scheme, subflows, beta, cfg.scheme)) {
-    std::fprintf(stderr, "xmpsim: bad --scheme=%s (expected tcp|dctcp|xmp|lia|olia)\n",
-                 scheme.c_str());
-    ok = false;
-  }
-  const std::string coexist = args.get("coexist", "");
-  if (!coexist.empty()) {
-    workload::SchemeSpec b;
-    if (!parse_scheme(coexist, subflows, beta, b)) {
-      std::fprintf(stderr, "xmpsim: bad --coexist=%s (expected tcp|dctcp|xmp|lia|olia)\n",
-                   coexist.c_str());
-      ok = false;
-    }
-    cfg.scheme_b = b;
+  cfg.scheme.kind = scheme_kind(f.str("scheme"));
+  cfg.scheme.subflows = static_cast<int>(f.integer("subflows"));
+  cfg.scheme.beta = static_cast<int>(f.integer("beta"));
+  if (f.has("coexist")) {
+    cfg.scheme_b = cfg.scheme;
+    cfg.scheme_b->kind = scheme_kind(f.str("coexist"));
   }
 
-  cfg.fat_tree_k = static_cast<int>(flag_i(args, "k", 8, 2, 64, ok));
-  if (cfg.fat_tree_k % 2 != 0) {
-    std::fprintf(stderr, "xmpsim: bad --k=%d (expected an even integer in [2, 64])\n",
-                 cfg.fat_tree_k);
-    ok = false;
-    cfg.fat_tree_k = 8;
-  }
-  cfg.duration = sim::Time::seconds(flag_d(args, "duration", 0.5, 1e-6, 3600, ok));
-  cfg.queue_capacity = static_cast<std::size_t>(flag_i(args, "queue", 100, 1, 1000000, ok));
-  cfg.mark_threshold = static_cast<std::size_t>(flag_i(args, "mark-k", 10, 1, 1000000, ok));
-  cfg.permutation_rounds = static_cast<int>(flag_i(args, "rounds", 2, 1, 1000, ok));
-  cfg.seed = static_cast<std::uint64_t>(flag_i(args, "seed", 1, 0, INT64_MAX, ok));
+  if (!even_k(f.integer("k"))) return false;
+  cfg.fat_tree_k = static_cast<int>(f.integer("k"));
+  cfg.duration = sim::Time::seconds(f.num("duration"));
+  cfg.queue_capacity = static_cast<std::size_t>(f.integer("queue"));
+  cfg.mark_threshold = static_cast<std::size_t>(f.integer("mark-k"));
+  cfg.permutation_rounds = static_cast<int>(f.integer("rounds"));
+  cfg.seed = static_cast<std::uint64_t>(f.integer("seed"));
 
-  const std::string faults = args.get("faults", "");
-  if (!faults.empty()) {
+  if (f.has("faults")) {
     std::string error;
-    if (!faults::FaultPlan::parse(faults, cfg.fault_plan, &error)) {
-      std::fprintf(stderr, "xmpsim: bad --faults: %s\n", error.c_str());
-      ok = false;
+    if (!faults::FaultPlan::parse(f.str("faults"), cfg.fault_plan, &error)) {
+      return fail("bad --faults: %s", error.c_str());
     }
   }
-  cfg.fault_seed = static_cast<std::uint64_t>(flag_i(args, "fault-seed", 1, 0, INT64_MAX, ok));
+  cfg.fault_seed = static_cast<std::uint64_t>(f.integer("fault-seed"));
   // Subflow failover is on by default only under fault injection, so that
   // fault-free runs stay bit-identical to builds without the fault layer.
-  cfg.scheme.dead_after_rtos =
-      static_cast<int>(flag_i(args, "dead-after", cfg.fault_plan.empty() ? 0 : 3, 0, 1000, ok));
+  cfg.scheme.dead_after_rtos = f.has("dead-after") ? static_cast<int>(f.integer("dead-after"))
+                               : cfg.fault_plan.empty() ? 0
+                                                        : 3;
   if (cfg.scheme_b) cfg.scheme_b->dead_after_rtos = cfg.scheme.dead_after_rtos;
-  cfg.scheme.max_rehomes = static_cast<int>(flag_i(args, "rehome", 0, 0, 1000, ok));
+  cfg.scheme.max_rehomes = static_cast<int>(f.integer("rehome"));
   if (cfg.scheme_b) cfg.scheme_b->max_rehomes = cfg.scheme.max_rehomes;
 
-  const std::string routing = args.get("routing", "pinned");
-  if (!route::parse_policy(routing, cfg.routing.kind)) {
-    std::fprintf(stderr, "xmpsim: bad --routing=%s (expected pinned|ecmp|wcmp|flowlet)\n",
-                 routing.c_str());
-    ok = false;
-  }
-  cfg.routing.flowlet_gap =
-      sim::Time::microseconds(flag_i(args, "flowlet-gap", 100, 1, 1000000000, ok));
-  cfg.routing.reroute_delay = sim::Time::seconds(flag_d(args, "reroute-delay", 0.001, 0, 60, ok));
-  cfg.check_invariants = args.has("invariants") || !args.get("invariants", "").empty();
+  (void)route::parse_policy(f.str("routing"), cfg.routing.kind);  // the table checked it
+  cfg.routing.flowlet_gap = sim::Time::microseconds(f.integer("flowlet-gap"));
+  cfg.routing.reroute_delay = sim::Time::seconds(f.num("reroute-delay"));
+  cfg.check_invariants = f.has("invariants");
 
-  const auto scale = flag_i(args, "scale", 1, 1, 1000000, ok);
+  const auto scale = f.integer("scale");
   cfg.perm_min_bytes *= scale;
   cfg.perm_max_bytes *= scale;
   cfg.rand_min_bytes *= scale;
@@ -401,185 +567,86 @@ core::ExperimentConfig config_from(const Args& args, bool& ok) {
   if (cfg.workload) {
     const int hosts = cfg.fat_tree_k * cfg.fat_tree_k * cfg.fat_tree_k / 4;
     if (cfg.workload->nodes > hosts) {
-      std::fprintf(stderr, "xmpsim: workload needs %d hosts but --k=%d provides %d\n",
-                   cfg.workload->nodes, cfg.fat_tree_k, hosts);
-      ok = false;
+      return fail("workload needs %d hosts but --k=%d provides %d", cfg.workload->nodes,
+                  cfg.fat_tree_k, hosts);
     }
     if (cfg.workload->span == workload::WorkloadSpan::InterRack &&
         cfg.workload->nodes <= cfg.fat_tree_k / 2) {
-      std::fprintf(stderr,
-                   "xmpsim: workload span inter-rack needs nodes in >= 2 racks "
-                   "(%d nodes fit in one rack of %d hosts)\n",
-                   cfg.workload->nodes, cfg.fat_tree_k / 2);
-      ok = false;
+      return fail("workload span inter-rack needs nodes in >= 2 racks (%d nodes fit in one rack "
+                  "of %d hosts)",
+                  cfg.workload->nodes, cfg.fat_tree_k / 2);
     }
     if (cfg.workload->has_cdf && cfg.offered_load <= 0.0 && cfg.workload->default_load <= 0.0) {
-      std::fprintf(stderr,
-                   "xmpsim: workload has a cdf but no offered load "
-                   "(give --load=0.X or a 'load' directive)\n");
-      ok = false;
+      return fail("workload has a cdf but no offered load (give --load=0.X or a 'load' "
+                  "directive)");
     }
     if (!cfg.workload->has_cdf && cfg.offered_load > 0.0) {
-      std::fprintf(stderr, "xmpsim: --load has no effect on a trace-only workload\n");
-      ok = false;
-    }
-    if (cfg.scheme_b) {
-      std::fprintf(stderr, "xmpsim: --workload is incompatible with --coexist\n");
-      ok = false;
+      return fail("--load has no effect on a trace-only workload");
     }
   }
 
-  cfg.shards = static_cast<int>(flag_i(args, "shards", 0, 0, 4096, ok));
-  if (cfg.shards > 0) {
-    // The sharded engine supports a precise subset of the serial feature
-    // set (DESIGN.md §11); everything else is an up-front one-line reject.
-    if (cfg.pattern != core::Pattern::Permutation) {
-      std::fprintf(stderr, "xmpsim: --shards requires --pattern=permutation (got %s)\n",
-                   core::pattern_name(cfg.pattern));
-      ok = false;
+  // verify's legs all run on the sharded engine.
+  cfg.shards = f.cmd == kVerify ? 1 : static_cast<int>(f.integer("shards"));
+
+  cfg.hybrid.enabled = f.has("hybrid");
+  if (cfg.hybrid.enabled) {
+    if (!read_count(f, "hybrid-bg", cfg.hybrid.bg_flows, cfg.hybrid.bg_bytes) ||
+        !read_count(f, "hybrid-fg", cfg.hybrid.fg_flows, cfg.hybrid.fg_bytes)) {
+      return false;
     }
-    if (cfg.scheme_b) {
-      std::fprintf(stderr, "xmpsim: --shards is incompatible with --coexist\n");
-      ok = false;
-    }
-    if (cfg.routing.kind == route::PolicyKind::Flowlet) {
-      std::fprintf(stderr, "xmpsim: --shards is incompatible with --routing=flowlet\n");
-      ok = false;
-    }
-    if (cfg.check_invariants) {
-      std::fprintf(stderr, "xmpsim: --shards is incompatible with --invariants\n");
-      ok = false;
-    }
-    if (cfg.scheme.max_rehomes > 0) {
-      std::fprintf(stderr, "xmpsim: --shards is incompatible with --rehome\n");
-      ok = false;
-    }
+    cfg.hybrid.promote_bytes = f.integer("hybrid-promote-bytes");
+    cfg.hybrid.tick = sim::Time::microseconds(f.integer("hybrid-tick"));
   }
 
-  // --- hybrid fluid/packet engine (DESIGN.md §14) ---
-  cfg.hybrid.enabled = args.has("hybrid");
-  {
-    // FLOWS[:BYTES] spec: "--hybrid-bg=100000" or "--hybrid-bg=1000:64000000".
-    auto parse_count_spec = [&](const char* key, int& count, std::int64_t& bytes) {
-      const std::string v = args.get(key, "");
-      if (v.empty()) return;
-      const auto colon = v.find(':');
-      std::int64_t n = 0;
-      std::int64_t b = bytes;
-      bool good = parse_integer(v.substr(0, colon), n) && n >= 1 && n <= 2'000'000;
-      if (good && colon != std::string::npos) {
-        good = parse_integer(v.substr(colon + 1), b) && b >= 1;
-      }
-      if (!good) {
-        std::fprintf(stderr,
-                     "xmpsim: bad --%s=%s (expected FLOWS[:BYTES], flows in [1, 2000000], "
-                     "bytes >= 1)\n",
-                     key, v.c_str());
-        ok = false;
-        return;
-      }
-      count = static_cast<int>(n);
-      bytes = b;
-    };
-    const bool sub_flags =
-        !args.get("hybrid-bg", "").empty() || !args.get("hybrid-fg", "").empty() ||
-        !args.get("hybrid-promote-bytes", "").empty() || !args.get("hybrid-tick", "").empty();
-    if (sub_flags && !cfg.hybrid.enabled) {
-      std::fprintf(stderr, "xmpsim: --hybrid-* flags need --hybrid\n");
-      ok = false;
-    }
-    if (cfg.hybrid.enabled) {
-      parse_count_spec("hybrid-bg", cfg.hybrid.bg_flows, cfg.hybrid.bg_bytes);
-      parse_count_spec("hybrid-fg", cfg.hybrid.fg_flows, cfg.hybrid.fg_bytes);
-      cfg.hybrid.promote_bytes =
-          flag_i(args, "hybrid-promote-bytes", 0, 0, std::int64_t{1} << 40, ok);
-      cfg.hybrid.tick = sim::Time::microseconds(flag_i(args, "hybrid-tick", 200, 10, 1000000, ok));
-      // The fluid ODEs implement the paper's §2 XMP dynamics; everything the
-      // hybrid engine can't represent is an up-front one-line reject.
-      if (cfg.scheme.kind != workload::SchemeSpec::Kind::Xmp) {
-        std::fprintf(stderr, "xmpsim: --hybrid requires --scheme=xmp (got %s)\n", scheme.c_str());
-        ok = false;
-      }
-      if (!args.get("pattern", "").empty()) {
-        std::fprintf(stderr, "xmpsim: --hybrid replaces --pattern (drop --pattern=%s)\n",
-                     pattern.c_str());
-        ok = false;
-      }
-      if (cfg.workload) {
-        std::fprintf(stderr, "xmpsim: --hybrid is incompatible with --workload\n");
-        ok = false;
-      }
-      if (cfg.scheme_b) {
-        std::fprintf(stderr, "xmpsim: --hybrid is incompatible with --coexist\n");
-        ok = false;
-      }
-      if (!cfg.fault_plan.empty()) {
-        std::fprintf(stderr, "xmpsim: --hybrid is incompatible with --faults\n");
-        ok = false;
-      }
-      if (cfg.shards > 0) {
-        std::fprintf(stderr, "xmpsim: --hybrid is incompatible with --shards (serial engine only)\n");
-        ok = false;
-      }
-      // In hybrid mode the pattern enum is inert (the engine replaces the
-      // generators); Permutation keeps name/fingerprint output stable.
-      cfg.pattern = core::Pattern::Permutation;
-    }
-  }
-
-  cfg.obs.trace_json = args.get("trace", "");
-  cfg.obs.trace_csv = args.get("trace-csv", "");
-  cfg.obs.metrics_json = args.get("metrics", "");
-  cfg.obs.fct_csv = args.get("fct-csv", "");
-  if (!cfg.obs.fct_csv.empty() && cfg.pattern != core::Pattern::Workload) {
-    std::fprintf(stderr, "xmpsim: --fct-csv needs --workload=FILE\n");
-    ok = false;
-  }
-  cfg.obs.capacity =
-      static_cast<std::size_t>(flag_i(args, "trace-capacity", 1 << 18, 1, 1 << 26, ok));
-  const std::string filter = args.get("trace-filter", "");
+  cfg.obs.trace_json = f.str("trace");
+  cfg.obs.trace_csv = f.str("trace-csv");
+  cfg.obs.metrics_json = f.str("metrics");
+  cfg.obs.fct_csv = f.str("fct-csv");
+  cfg.obs.capacity = static_cast<std::size_t>(f.integer("trace-capacity"));
   std::string filter_error;
-  if (!obs::TimelineTracer::parse_filter(filter, cfg.obs.categories, &filter_error)) {
-    std::fprintf(stderr, "xmpsim: bad --trace-filter: %s\n", filter_error.c_str());
-    ok = false;
+  if (!obs::TimelineTracer::parse_filter(f.str("trace-filter"), cfg.obs.categories,
+                                         &filter_error)) {
+    return fail("bad --trace-filter: %s", filter_error.c_str());
   }
 
-  cfg.checkpoint.every =
-      sim::Time::seconds(flag_d(args, "checkpoint-every", 0.0, 1e-6, 3600, ok));
-  cfg.checkpoint.dir = args.get("checkpoint-dir", ".");
+  cfg.checkpoint.every = sim::Time::seconds(f.num("checkpoint-every"));
+  cfg.checkpoint.dir = f.str("checkpoint-dir");
   if (struct stat st{}; ::stat(cfg.checkpoint.dir.c_str(), &st) != 0 || !S_ISDIR(st.st_mode)) {
     // Checked here, not at the first write: a missing directory would
     // otherwise lose every snapshot while the run still exits 0. Plain
     // stat(): std::filesystem on every run's path added ~140 KB of peak RSS.
-    std::fprintf(stderr, "xmpsim: bad --checkpoint-dir=%s (not an existing directory)\n",
-                 cfg.checkpoint.dir.c_str());
-    ok = false;
-    cfg.checkpoint.dir = ".";
+    return fail("bad --checkpoint-dir=%s (not an existing directory)",
+                cfg.checkpoint.dir.c_str());
   }
-  cfg.checkpoint.restore_path = args.get("restore", "");
-  if (cfg.checkpoint.every > sim::Time::zero() || !cfg.checkpoint.restore_path.empty()) {
-    // Checkpoint hooks cover a precise subset of the feature set; everything
-    // outside it is an up-front one-line reject, never a corrupt snapshot.
-    if (cfg.scheme_b) {
-      std::fprintf(stderr, "xmpsim: checkpointing is incompatible with --coexist\n");
-      ok = false;
-    }
-    if (cfg.routing.kind == route::PolicyKind::Flowlet) {
-      std::fprintf(stderr, "xmpsim: checkpointing is incompatible with --routing=flowlet\n");
-      ok = false;
-    }
-    if (cfg.scheme.max_rehomes > 0) {
-      std::fprintf(stderr, "xmpsim: checkpointing is incompatible with --rehome\n");
-      ok = false;
-    }
+  cfg.checkpoint.restore_path = f.str("restore");
+
+  const bool writes = cfg.checkpoint.every > sim::Time::zero();
+  const bool restores = !cfg.checkpoint.restore_path.empty();
+  const unsigned traits =
+      (f.cmd == kReplay ? kReplaying : 0) | (f.cmd == kVerify ? kVerifying : 0) |
+      (cfg.shards > 0 ? kSharded : 0) | (cfg.hybrid.enabled ? kHybrid : 0) |
+      (cfg.workload ? kWorkload : 0) | (writes || restores ? kCheckpointed : 0) |
+      (writes ? kWritesSnapshots : 0) | (restores ? 0 : kFresh) |
+      (cfg.scheme_b ? kCoexist : 0) |
+      (cfg.routing.kind == route::PolicyKind::Flowlet ? kFlowlet : 0) |
+      (cfg.check_invariants ? kInvariants : 0) | (cfg.scheme.max_rehomes > 0 ? kRehome : 0) |
+      (cfg.fault_plan.empty() ? 0 : kFaults) | (f.has("pattern") ? kPattern : 0) |
+      (cfg.scheme.kind != workload::SchemeSpec::Kind::Xmp ? kNotXmp : 0) |
+      (cfg.pattern != core::Pattern::Permutation ? kNotPermutation : 0);
+  for (const Rule& r : kRules) {
+    if ((traits & r.when) == 0 || (traits & r.with) == 0) continue;
+    const char* value = r.with == kPattern  ? f.str("pattern").c_str()
+                        : r.with == kNotXmp ? f.str("scheme").c_str()
+                                            : core::pattern_name(cfg.pattern);
+    std::fputs("xmpsim: ", stderr);
+    std::fprintf(stderr, r.msg, value);
+    std::fputc('\n', stderr);
+    return false;
   }
-  if (cfg.check_invariants && cfg.checkpoint.every > sim::Time::zero()) {
-    std::fprintf(stderr,
-                 "xmpsim: --invariants is incompatible with --checkpoint-every "
-                 "(use 'xmpsim replay --restore=FILE --invariants' instead)\n");
-    ok = false;
-  }
-  return cfg;
+  // In hybrid mode the pattern enum is inert (the engine replaces the
+  // generators); Permutation keeps name/fingerprint output stable.
+  if (cfg.hybrid.enabled) cfg.pattern = core::Pattern::Permutation;
+  return true;
 }
 
 /// Derive a per-job output path for sweeps: "dir/trace.json" -> "dir/trace.3.json".
@@ -710,21 +777,10 @@ void print_summary(const core::ExperimentConfig& cfg, const core::ExperimentResu
   }
 }
 
-int cmd_run_impl(const Args& args, bool replay_mode) {
-  bool ok = true;
-  auto cfg = config_from(args, ok);
-  if (replay_mode) {
-    if (cfg.checkpoint.restore_path.empty()) {
-      std::fprintf(stderr, "xmpsim: replay needs --restore=FILE\n");
-      ok = false;
-    }
-    if (cfg.checkpoint.every > sim::Time::zero()) {
-      std::fprintf(stderr,
-                   "xmpsim: replay never writes checkpoints (drop --checkpoint-every)\n");
-      ok = false;
-    }
-  }
-  if (!ok) return 2;
+/// `run` and `replay`.
+int cmd_run(const Flags& f) {
+  core::ExperimentConfig cfg;
+  if (!config_from(f, cfg)) return 2;
 
   if (!cfg.checkpoint.restore_path.empty()) {
     // Probe before building the world: a truncated, bit-flipped or
@@ -733,14 +789,14 @@ int cmd_run_impl(const Args& args, bool replay_mode) {
     std::string err;
     if (!core::ckpt::probe_file(cfg.checkpoint.restore_path, core::ckpt::config_fingerprint(cfg),
                                 h, &err)) {
-      std::fprintf(stderr, "xmpsim: restore failed: %s\n", err.c_str());
+      fail("restore failed: %s", err.c_str());
       return 2;
     }
     std::fprintf(stderr, "resuming from %s (seq %llu, t=%.6fs)\n",
                  cfg.checkpoint.restore_path.c_str(), static_cast<unsigned long long>(h.seq),
                  sim::Time::nanoseconds(h.t_ns).sec());
   }
-  if (!replay_mode && cfg.checkpoint.every > sim::Time::zero()) {
+  if (cfg.checkpoint.every > sim::Time::zero()) {
     struct sigaction sa = {};
     sa.sa_handler = on_sigterm;
     ::sigaction(SIGTERM, &sa, nullptr);
@@ -749,20 +805,17 @@ int cmd_run_impl(const Args& args, bool replay_mode) {
 
   const auto res = core::run_experiment(cfg);
   print_summary(cfg, res);
-  const std::string csv = args.get("csv", "");
-  if (!csv.empty()) {
-    core::export_flows_csv(res, csv);
-    std::printf("wrote %s\n", csv.c_str());
+  if (f.has("csv")) {
+    core::export_flows_csv(res, f.str("csv"));
+    std::printf("wrote %s\n", f.str("csv").c_str());
   }
-  const std::string json = args.get("json", "");
-  if (!json.empty()) {
-    core::export_summary_json(cfg, res, json);
-    std::printf("wrote %s\n", json.c_str());
+  if (f.has("json")) {
+    core::export_summary_json(cfg, res, f.str("json"));
+    std::printf("wrote %s\n", f.str("json").c_str());
   }
-  const std::string drops_csv = args.get("drops-csv", "");
-  if (!drops_csv.empty()) {
-    core::export_link_drops_csv(res, drops_csv);
-    std::printf("wrote %s\n", drops_csv.c_str());
+  if (f.has("drops-csv")) {
+    core::export_link_drops_csv(res, f.str("drops-csv"));
+    std::printf("wrote %s\n", f.str("drops-csv").c_str());
   }
   if (res.ckpt.interrupted) {
     // The partial summary above covers [0, halt); 143 = "terminated by
@@ -777,33 +830,33 @@ int cmd_run_impl(const Args& args, bool replay_mode) {
   return res.invariant_violations.empty() ? 0 : 3;
 }
 
-int cmd_run(const Args& args) { return cmd_run_impl(args, /*replay_mode=*/false); }
-int cmd_replay(const Args& args) { return cmd_run_impl(args, /*replay_mode=*/true); }
+/// The directory `named`, created if missing, or, when `named` is empty, a
+/// fresh scratch directory $TMPDIR/<tag>.XXXXXX (`scratch` set). The caller
+/// removes a scratch directory after success and keeps it for inspection
+/// after a failure. Empty after a one-line error.
+std::string open_dir(const char* flag, const std::string& named, const char* tag,
+                     bool& scratch) {
+  scratch = named.empty();
+  if (!scratch) {
+    std::error_code ec;
+    std::filesystem::create_directories(named, ec);
+    if (ec) {
+      fail("cannot create --%s=%s: %s", flag, named.c_str(), ec.message().c_str());
+      return {};
+    }
+    return named;
+  }
+  std::string dir = "/tmp";
+  if (const char* t = std::getenv("TMPDIR"); t != nullptr && *t != '\0') dir = t;
+  dir = dir + "/" + tag + ".XXXXXX";
+  if (::mkdtemp(dir.data()) == nullptr) {
+    fail("mkdtemp(%s): %s", dir.c_str(), std::strerror(errno));
+    return {};
+  }
+  return dir;
+}
 
 // --- verify: differential validation harness (DESIGN.md §15) ---------------
-
-/// Newest on-disk snapshot (highest seq) in `dir`, by filename only — the
-/// restore path re-validates header, CRC and fingerprint. Empty if none.
-std::string newest_snapshot(const std::string& dir) {
-  namespace fs = std::filesystem;
-  std::error_code ec;
-  std::uint64_t best_seq = 0;
-  std::string best;
-  for (const auto& entry : fs::directory_iterator{dir, ec}) {
-    const std::string name = entry.path().filename().string();
-    if (name.size() <= 9 || name.compare(0, 5, "ckpt_") != 0 ||
-        name.compare(name.size() - 4, 4, ".bin") != 0)
-      continue;
-    const std::string digits = name.substr(5, name.size() - 9);
-    if (digits.empty() || digits.find_first_not_of("0123456789") != std::string::npos) continue;
-    const std::uint64_t seq = std::stoull(digits);
-    if (best.empty() || seq > best_seq) {
-      best_seq = seq;
-      best = name;
-    }
-  }
-  return best;
-}
 
 /// Fork a child that runs `xmpsim run <flags>` from inside `dir`, stdout
 /// to out.txt and stderr to err.txt — each leg executes with relative
@@ -817,7 +870,8 @@ pid_t spawn_leg(const std::string& dir, const std::vector<std::string>& flags) {
   if (::chdir(dir.c_str()) != 0) std::_Exit(127);
   if (std::freopen("out.txt", "w", stdout) == nullptr) std::_Exit(127);
   if (std::freopen("err.txt", "w", stderr) == nullptr) std::_Exit(127);
-  std::_Exit(cmd_run(Args{flags}));
+  Flags f;
+  std::_Exit(parse(kRun, flags, f) ? cmd_run(f) : 2);
 }
 
 int wait_leg(pid_t pid) {
@@ -842,73 +896,25 @@ bool read_all(const std::string& path, std::string& out) {
   return ok;
 }
 
-int cmd_verify(const Args& args) {
+int cmd_verify(const Flags& f) {
   namespace fs = std::filesystem;
-  bool ok = true;
-
-  // Flags the harness owns end to end: a user-supplied value would make
-  // the legs diverge by construction, so each is a one-line reject.
-  static constexpr const char* kOwned[] = {"shards", "checkpoint-dir", "restore",  "csv", "json",
-                                           "trace",  "trace-csv",      "metrics",  "drops-csv",
-                                           "fct-csv"};
-  for (const char* key : kOwned) {
-    if (!args.get(key, "").empty()) {
-      std::fprintf(stderr, "xmpsim: verify drives --%s itself (drop it)\n", key);
-      ok = false;
-    }
-  }
-  if (args.has("invariants")) {
-    std::fprintf(stderr, "xmpsim: verify legs run under --shards; --invariants is serial-only "
-                         "(use `run --invariants` directly)\n");
-    ok = false;
-  }
-  if (args.has("hybrid")) {
-    std::fprintf(stderr, "xmpsim: --hybrid is serial-engine-only; verify needs --shards legs\n");
-    ok = false;
-  }
-  const std::string every = args.get("checkpoint-every", "0.005");
-  if (!ok) return 2;
+  // Validate once up front so a malformed scenario is a clean exit 2 on
+  // *this* process's stderr, before any leg forks (legs log to err.txt).
+  // parse() already rejected the flags the harness owns end to end.
+  core::ExperimentConfig probe;
+  if (!config_from(f, probe)) return 2;
+  const std::string every = f.has("checkpoint-every") ? f.str("checkpoint-every") : "0.005";
 
   // Scenario flags (verify's own removed), shared by every leg.
   std::vector<std::string> scenario;
-  for (const auto& a : args.raw()) {
+  for (const auto& a : f.argv) {
     if (a.rfind("--dir=", 0) == 0 || a.rfind("--checkpoint-every=", 0) == 0) continue;
     scenario.push_back(a);
   }
-  // Validate once up front so a malformed scenario is a clean exit 2 on
-  // *this* process's stderr, before any leg forks (legs log to err.txt).
-  {
-    std::vector<std::string> probe = scenario;
-    probe.emplace_back("--shards=1");
-    bool cok = true;
-    (void)config_from(Args{probe}, cok);
-    if (!cok) return 2;
-  }
 
-  std::string root = args.get("dir", "");
-  bool ephemeral = false;
-  if (root.empty()) {
-    std::string tmpl = "/tmp";
-    if (const char* t = std::getenv("TMPDIR"); t != nullptr && *t != '\0') tmpl = t;
-    tmpl += "/xmpverify.XXXXXX";
-    std::vector<char> buf{tmpl.begin(), tmpl.end()};
-    buf.push_back('\0');
-    if (::mkdtemp(buf.data()) == nullptr) {
-      std::fprintf(stderr, "xmpsim: verify: mkdtemp(%s): %s\n", tmpl.c_str(),
-                   std::strerror(errno));
-      return 2;
-    }
-    root = buf.data();
-    ephemeral = true;
-  } else {
-    std::error_code ec;
-    fs::create_directories(root, ec);
-    if (ec) {
-      std::fprintf(stderr, "xmpsim: verify: cannot create --dir=%s: %s\n", root.c_str(),
-                   ec.message().c_str());
-      return 2;
-    }
-  }
+  bool scratch = false;
+  const std::string root = open_dir("dir", f.str("dir"), "xmpverify", scratch);
+  if (root.empty()) return 2;
 
   auto leg_dir = [&](const char* name) { return root + "/" + name; };
   const std::vector<std::string> outputs = {"--json=summary.json", "--trace-csv=trace.csv",
@@ -919,7 +925,7 @@ int cmd_verify(const Args& args) {
     return extra;
   };
   auto fail = [&](const std::string& msg) {
-    std::fprintf(stderr, "xmpsim: verify FAIL: %s (legs kept in %s)\n", msg.c_str(), root.c_str());
+    ::fail("verify FAIL: %s (legs kept in %s)", msg.c_str(), root.c_str());
     return 1;
   };
 
@@ -957,14 +963,17 @@ int cmd_verify(const Args& args) {
     const std::vector<std::string> base = {"--shards=1", ckpt_every, "--checkpoint-dir=."};
     const pid_t pid = spawn_leg(dir, make_flags(base));
     if (pid < 0) return fail("fork failed");
+    // Every leg's config has the probe's fingerprint: it leaves out the
+    // outputs, the checkpoint settings and the shard count.
+    const std::uint64_t fp = core::ckpt::config_fingerprint(probe);
     for (int i = 0; i < 400; ++i) {
-      if (!newest_snapshot(dir).empty()) break;
+      if (!core::ckpt::newest_valid(dir, fp).empty()) break;
       if (::kill(pid, 0) != 0) break;
       std::this_thread::sleep_for(std::chrono::milliseconds(25));
     }
     ::kill(pid, SIGKILL);
     const int rc = wait_leg(pid);
-    const std::string snap = newest_snapshot(dir);
+    std::string snap = core::ckpt::newest_valid(dir, fp);
     if (snap.empty()) {
       return fail("kill leg wrote no snapshot — raise --duration or lower --checkpoint-every");
     }
@@ -976,7 +985,7 @@ int cmd_verify(const Args& args) {
                   "/err.txt)");
     }
     std::vector<std::string> resume = base;
-    resume.push_back("--restore=" + snap);
+    resume.push_back("--restore=" + snap.substr(snap.find_last_of('/') + 1));  // leg-relative
     const pid_t rpid = spawn_leg(dir, make_flags(resume));
     if (rpid < 0) return fail("fork failed");
     const int rrc = wait_leg(rpid);
@@ -1025,7 +1034,7 @@ int cmd_verify(const Args& args) {
 
   std::printf("verify: PASS — serial, shards=2, checkpointed and kill+restore legs agree "
               "byte for byte\n");
-  if (ephemeral) {
+  if (scratch) {
     std::error_code ec;
     fs::remove_all(root, ec);
   } else {
@@ -1034,13 +1043,11 @@ int cmd_verify(const Args& args) {
   return 0;
 }
 
-int cmd_fluid(const Args& args) {
-  bool ok = true;
-  const double cap_gbps = flag_d(args, "capacity-gbps", 1.0, 0.001, 10000, ok);
-  const int n = static_cast<int>(flag_i(args, "flows", 3, 1, 1000000, ok));
-  const double beta = flag_d(args, "beta", 4.0, 1, 1000, ok);
-  const double rtt_us = flag_d(args, "rtt-us", 300.0, 0.1, 10000000, ok);
-  if (!ok) return 2;
+int cmd_fluid(const Flags& f) {
+  const double cap_gbps = f.num("capacity-gbps");
+  const int n = static_cast<int>(f.integer("flows"));
+  const double beta = f.num({"beta", kFluid});
+  const double rtt_us = f.num("rtt-us");
   const double cap_sps = cap_gbps * 1e9 / (net::kDataPacketBytes * 8.0);
 
   std::vector<model::FluidFlow> flows(static_cast<std::size_t>(n),
@@ -1068,86 +1075,36 @@ struct SweepSpec {
   bool schemes_swept = false;
 };
 
-bool build_sweep_grid(const Args& args, SweepSpec& spec) {
-  bool ok = true;
-  spec.param = args.get("param", "mark-k");
-  const std::vector<double> base_values = flag_list(args, "values", ok);
-  if (!ok) return false;
-  if (!args.get("restore", "").empty()) {
-    // Per-job restore decisions belong to the campaign orchestrator (it
-    // probes each job's checkpoint directory on retry).
-    std::fprintf(stderr, "xmpsim: --restore applies to 'run'/'replay', not 'sweep'\n");
-    return false;
+bool build_sweep_grid(const Flags& f, SweepSpec& spec) {
+  spec.param = f.str("param");
+  const std::vector<double>& base_values = f.list("values");
+  if (base_values.empty()) return fail("sweep needs --values=a,b,c");
+  core::ExperimentConfig base;
+  if (!config_from(f, base)) return false;
+
+  const bool load = spec.param == "load";
+  if (load && !base.workload) return fail("--param=load needs --workload=FILE");
+  if (load && !base.workload->has_cdf) {
+    return fail("--param=load needs a workload with a 'cdf' directive");
   }
-  if (base_values.empty()) {
-    std::fprintf(stderr, "xmpsim: sweep needs --values=a,b,c\n");
-    return false;
+  const double lo = spec.param == "seed" ? 0 : 1;
+  for (const double v : base_values) {
+    if (load ? !(v > 0 && v <= 1.2) : !(v >= lo)) {
+      return fail("bad --values entry %g for --param=%s (expected %s)", v, spec.param.c_str(),
+                  load ? "in (0, 1.2]" : lo == 0 ? ">= 0" : ">= 1");
+    }
   }
 
   // Optional scheme cross product: --schemes=xmp,dctcp,lia,olia multiplies
   // the grid (scheme-major order), which is how a full load-vs-FCT study
   // becomes one resumable campaign.
-  std::vector<std::string> schemes;
-  {
-    std::string v = args.get("schemes", "");
-    while (!v.empty()) {
-      const auto comma = v.find(',');
-      const std::string token = v.substr(0, comma);
-      workload::SchemeSpec probe;
-      if (!parse_scheme(token, 1, 1, probe)) {
-        std::fprintf(stderr,
-                     "xmpsim: bad --schemes entry '%s' (expected tcp|dctcp|xmp|lia|olia)\n",
-                     token.c_str());
-        return false;
-      }
-      schemes.push_back(token);
-      if (comma == std::string::npos) break;
-      v = v.substr(comma + 1);
-    }
-  }
+  std::vector<std::string> schemes = split(f.str("schemes"));
   spec.schemes_swept = !schemes.empty();
   if (schemes.empty()) schemes.emplace_back();  // sentinel: keep --scheme as given
 
-  // Build the whole grid up front, then fan it across workers; results come
-  // back in submission order, bit-identical to a serial sweep.
   for (const std::string& sch : schemes) {
-    for (double v : base_values) {
-      auto cfg = config_from(args, ok);
-      if (!ok) return false;
-      if (spec.param == "mark-k" || spec.param == "queue" || spec.param == "subflows" ||
-          spec.param == "beta") {
-        if (v < 1) {
-          std::fprintf(stderr, "xmpsim: bad --values entry %g for --param=%s (expected >= 1)\n",
-                       v, spec.param.c_str());
-          return false;
-        }
-      } else if (spec.param == "seed") {
-        if (v < 0) {
-          std::fprintf(stderr, "xmpsim: bad --values entry %g for --param=seed (expected >= 0)\n",
-                       v);
-          return false;
-        }
-      } else if (spec.param == "load") {
-        if (!cfg.workload) {
-          std::fprintf(stderr, "xmpsim: --param=load needs --workload=FILE\n");
-          return false;
-        }
-        if (!cfg.workload->has_cdf) {
-          std::fprintf(stderr, "xmpsim: --param=load needs a workload with a 'cdf' directive\n");
-          return false;
-        }
-        if (v <= 0 || v > 1.2) {
-          std::fprintf(stderr,
-                       "xmpsim: bad --values entry %g for --param=load (expected in (0, 1.2])\n",
-                       v);
-          return false;
-        }
-      } else {
-        std::fprintf(stderr,
-                     "xmpsim: bad --param=%s (expected mark-k|beta|subflows|queue|seed|load)\n",
-                     spec.param.c_str());
-        return false;
-      }
+    for (const double v : base_values) {
+      core::ExperimentConfig cfg = base;
       if (spec.param == "mark-k") {
         cfg.mark_threshold = static_cast<std::size_t>(v);
       } else if (spec.param == "beta") {
@@ -1156,18 +1113,14 @@ bool build_sweep_grid(const Args& args, SweepSpec& spec) {
         cfg.scheme.subflows = static_cast<int>(v);
       } else if (spec.param == "queue") {
         cfg.queue_capacity = static_cast<std::size_t>(v);
-      } else if (spec.param == "load") {
+      } else if (load) {
         cfg.offered_load = v;
       } else {
         cfg.seed = static_cast<std::uint64_t>(v);
       }
-      if (!sch.empty()) {
-        // Swap the scheme kind, keeping every other knob (--subflows,
-        // --beta, --dead-after, --rehome) exactly as config_from set it.
-        workload::SchemeSpec s2 = cfg.scheme;
-        parse_scheme(sch, s2.subflows, s2.beta, s2);
-        cfg.scheme = s2;
-      }
+      // Swap the scheme kind, keeping every other knob (--subflows,
+      // --beta, --dead-after, --rehome) exactly as config_from set it.
+      if (!sch.empty()) cfg.scheme.kind = scheme_kind(sch);
       // Each job writes its own trace/metrics files ("trace.json" ->
       // "trace.<i>.json"); concurrent jobs must never share an output path.
       const std::size_t job = spec.grid.size();
@@ -1261,27 +1214,36 @@ void write_fct_summary(const std::string& dir, const SweepSpec& spec,
   json.end_object();
 }
 
-/// Crash-isolated, resumable sweep (`--out=DIR` / `--resume=DIR`).
-int cmd_sweep_campaign(const Args& cli, const std::string& dir, bool resume) {
+
+/// Every sweep runs as a crash-isolated campaign: in --out=DIR, in the
+/// campaign --resume=DIR names, or else in a scratch directory that is
+/// removed once every job succeeded. The table is printed from the
+/// job_<i>.json files alone, so an interrupted and resumed campaign prints
+/// what an uninterrupted one does.
+int cmd_sweep(const Flags& cli) {
   core::JobManifest manifest;
-  Args args = cli;
+  Flags args = cli;
+  const bool resume = cli.has("resume");
   if (resume) {
     std::string err;
-    if (!core::JobManifest::load(dir, manifest, &err)) {
-      std::fprintf(stderr, "xmpsim: cannot resume --resume=%s: %s\n", dir.c_str(), err.c_str());
+    if (!core::JobManifest::load(cli.str("resume"), manifest, &err)) {
+      fail("cannot resume --resume=%s: %s", cli.str("resume").c_str(), err.c_str());
       return 2;
     }
-    // Effective flags = today's command line first (overrides win, because
-    // Args::get returns the first match), then the campaign's stored argv.
-    std::vector<std::string> merged = cli.raw();
-    merged.insert(merged.end(), manifest.argv.begin(), manifest.argv.end());
-    args = Args{merged};
+    // The campaign's stored flags, each overridden by one given now.
+    if (!parse(kSweep, manifest.argv, args)) return 2;
+    for (std::size_t i = 0; i < kNumFlags; ++i) {
+      if (cli.v[i].given) args.v[i] = cli.v[i];
+    }
   }
 
   SweepSpec spec;
   if (!build_sweep_grid(args, spec)) return 2;
 
+  bool scratch = false;
+  std::string dir;
   if (resume) {
+    dir = cli.str("resume");
     // The grid rebuilt from the merged flags must be the campaign's grid;
     // anything else would silently mix results from different experiments.
     bool same = manifest.param == spec.param && manifest.jobs.size() == spec.grid.size();
@@ -1289,22 +1251,16 @@ int cmd_sweep_campaign(const Args& cli, const std::string& dir, bool resume) {
       same = manifest.jobs[i].value == spec.values[i];
     }
     if (!same) {
-      std::fprintf(stderr,
-                   "xmpsim: --resume=%s grid mismatch (manifest sweeps %s over %zu values); "
-                   "re-run without conflicting --param/--values\n",
-                   dir.c_str(), manifest.param.c_str(), manifest.jobs.size());
+      fail("--resume=%s grid mismatch (manifest sweeps %s over %zu values); re-run without "
+           "conflicting --param/--values",
+           dir.c_str(), manifest.param.c_str(), manifest.jobs.size());
       return 2;
     }
   } else {
-    std::error_code ec;
-    std::filesystem::create_directories(dir, ec);
-    if (ec) {
-      std::fprintf(stderr, "xmpsim: cannot create --out=%s: %s\n", dir.c_str(),
-                   ec.message().c_str());
-      return 2;
-    }
+    dir = open_dir("out", args.str("out"), "xmpsweep", scratch);
+    if (dir.empty()) return 2;
     manifest.param = spec.param;
-    manifest.argv = cli.raw();
+    manifest.argv = cli.argv;
     manifest.jobs.resize(spec.grid.size());
     for (std::size_t i = 0; i < spec.grid.size(); ++i) {
       manifest.jobs[i].index = i;
@@ -1312,15 +1268,13 @@ int cmd_sweep_campaign(const Args& cli, const std::string& dir, bool resume) {
     }
   }
 
-  bool ok = true;
   core::OrchestratorConfig ocfg;
   ocfg.campaign_dir = dir;
-  ocfg.workers = static_cast<unsigned>(flag_i(args, "jobs", 0, 1, 4096, ok));
-  ocfg.job_timeout_s = flag_d(args, "job-timeout", 0.0, 0, 86400, ok);
-  ocfg.retries = static_cast<int>(flag_i(args, "retries", 2, 0, 100, ok));
-  ocfg.backoff_base_s = flag_d(args, "backoff", 0.5, 0, 3600, ok);
+  ocfg.workers = static_cast<unsigned>(args.integer("jobs"));
+  ocfg.job_timeout_s = args.num("job-timeout");
+  ocfg.retries = static_cast<int>(args.integer("retries"));
+  ocfg.backoff_base_s = args.num("backoff");
   ocfg.strict = args.has("strict");
-  if (!ok) return 2;
 
   obs::MetricsRegistry metrics;
   obs::TimelineTracer::Config tcfg;
@@ -1378,72 +1332,18 @@ int cmd_sweep_campaign(const Args& cli, const std::string& dir, bool resume) {
     std::fprintf(stderr, "xmpsim: %zu of %zu jobs incomplete after retries%s\n",
                  outcome.incomplete.size(), spec.grid.size(),
                  ocfg.strict ? "" : " (salvaged the rest; --strict to fail)");
+    if (scratch) fail("campaign kept in %s", dir.c_str());
     if (ocfg.strict) return 1;
+  } else if (scratch) {
+    std::error_code ec;
+    std::filesystem::remove_all(dir, ec);
   }
   return 0;
 }
 
-int cmd_sweep(const Args& args) {
-  const std::string resume_dir = args.get("resume", "");
-  if (!resume_dir.empty()) return cmd_sweep_campaign(args, resume_dir, true);
-  const std::string out_dir = args.get("out", "");
-  if (!out_dir.empty()) return cmd_sweep_campaign(args, out_dir, false);
-
-  // Fast path: trusted in-process sweep on a thread pool.
-  SweepSpec spec;
-  if (!build_sweep_grid(args, spec)) return 2;
-  if (!spec.grid.empty() && spec.grid[0].checkpoint.every > sim::Time::zero()) {
-    std::fprintf(stderr,
-                 "xmpsim: --checkpoint-every in a sweep needs --out=DIR (per-job checkpoint "
-                 "directories live in the campaign dir)\n");
-    return 2;
-  }
-
-  bool ok = true;
-  const std::int64_t jobs = flag_i(args, "jobs", 0, 1, 4096, ok);  // absent = hardware cores
-  if (!ok) return 2;
-  const core::ParallelRunner runner{jobs > 0 ? static_cast<unsigned>(jobs) : 0U};
-  std::fprintf(stderr, "sweeping %zu points on %u workers\n", spec.grid.size(), runner.workers());
-  const auto results =
-      runner.run(spec.grid, [](std::size_t, std::size_t done, std::size_t total) {
-        std::fprintf(stderr, "  [%zu/%zu] done\n", done, total);
-      });
-
-  bool any_fct = false;
-  for (const auto& r : results) {
-    if (r.fct.enabled()) any_fct = true;
-  }
-  std::printf("%-12s", spec.param.c_str());
-  if (spec.schemes_swept) std::printf(" %-8s", "scheme");
-  std::printf(" %16s %16s", "goodput (Mbps)", "events");
-  if (any_fct) std::printf(" %10s %10s", "fct p50", "fct p99");
-  std::printf("\n");
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    std::printf("%-12g", spec.values[i]);
-    if (spec.schemes_swept) std::printf(" %-8s", spec.labels[i].c_str());
-    std::printf(" %16.1f %16llu", results[i].avg_goodput_mbps(),
-                static_cast<unsigned long long>(results[i].events_dispatched));
-    if (any_fct) {
-      if (results[i].fct.slowdown_all.count() > 0) {
-        std::printf(" %10.2f %10.2f", results[i].fct.slowdown_all.percentile(50),
-                    results[i].fct.slowdown_all.percentile(99));
-      } else {
-        std::printf(" %10s %10s", "-", "-");
-      }
-    }
-    std::printf("\n");
-  }
-  return 0;
-}
-
-int cmd_topo(const Args& args) {
-  bool ok = true;
-  const int k = static_cast<int>(flag_i(args, "k", 8, 2, 64, ok));
-  if (ok && k % 2 != 0) {
-    std::fprintf(stderr, "xmpsim: bad --k=%d (expected an even integer in [2, 64])\n", k);
-    ok = false;
-  }
-  if (!ok) return 2;
+int cmd_topo(const Flags& f) {
+  if (!even_k(f.integer("k"))) return 2;
+  const int k = static_cast<int>(f.integer("k"));
   sim::Scheduler sched;
   net::Network netw{sched};
   topo::FatTree::Config tc;
@@ -1463,27 +1363,35 @@ int cmd_topo(const Args& args) {
   return 0;
 }
 
-void usage() {
-  std::fprintf(stderr,
-               "usage: xmpsim <run|replay|verify|fluid|sweep|topo> [--key=value ...]\n"
-               "see the header of apps/xmpsim.cpp for the full flag list\n");
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc < 2) {
-    usage();
+  unsigned cmd = 0;
+  for (const auto& c : kCommands) {
+    if (argc >= 2 && std::strcmp(argv[1], c.name) == 0) cmd = c.bit;
+  }
+  if (cmd == 0) {
+    usage(stderr, 0);
     return 2;
   }
-  const std::string cmd = argv[1];
-  Args args{argc, argv};
-  if (cmd == "run") return cmd_run(args);
-  if (cmd == "replay") return cmd_replay(args);
-  if (cmd == "verify") return cmd_verify(args);
-  if (cmd == "fluid") return cmd_fluid(args);
-  if (cmd == "sweep") return cmd_sweep(args);
-  if (cmd == "topo") return cmd_topo(args);
-  usage();
-  return 2;
+  const std::vector<std::string> args(argv + 2, argv + argc);
+  if (std::find(args.begin(), args.end(), "--help") != args.end()) {
+    usage(stdout, cmd);
+    return 0;
+  }
+  Flags f;
+  if (!parse(cmd, args, f)) return 2;
+  switch (cmd) {
+    case kRun:
+    case kReplay:
+      return cmd_run(f);
+    case kVerify:
+      return cmd_verify(f);
+    case kFluid:
+      return cmd_fluid(f);
+    case kSweep:
+      return cmd_sweep(f);
+    default:
+      return cmd_topo(f);
+  }
 }

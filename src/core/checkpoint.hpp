@@ -75,6 +75,9 @@ class Loader {
   Loader(const void* data, std::size_t n)
       : p_{static_cast<const char*>(data)}, n_{n} {}
   explicit Loader(const std::string& s) : Loader(s.data(), s.size()) {}
+  /// The Loader keeps a pointer into the string, so binding it to a
+  /// temporary would read freed memory: refuse that at compile time.
+  explicit Loader(std::string&&) = delete;
 
   [[nodiscard]] bool ok() const { return ok_; }
   /// Fully consumed and error-free (trailing bytes mean a version skew).

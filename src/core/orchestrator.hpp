@@ -81,9 +81,10 @@ struct CampaignOutcome {
 /// campaign or its siblings. The parent is a single-threaded reap loop —
 /// spawn up to `workers` children, waitpid(WNOHANG) each, SIGKILL any that
 /// outlive the watchdog, and respawn failures after a deterministic
-/// exponential backoff — which sidesteps every fork-vs-threads hazard
-/// (ParallelRunner's in-process thread pool remains the fast path for
-/// trusted sweeps without isolation).
+/// exponential backoff — which sidesteps every fork-vs-threads hazard.
+/// It is the only sweep executor of `xmpsim sweep`, which runs it in a
+/// scratch directory when no --out is given; ParallelRunner's thread pool
+/// serves in-process callers such as the Table 1/2 benches.
 ///
 /// The manifest is rewritten atomically after every state transition, so
 /// SIGKILLing the *campaign* at any instant leaves a resumable directory.
