@@ -80,6 +80,9 @@ class Loader {
   explicit Loader(std::string&&) = delete;
 
   [[nodiscard]] bool ok() const { return ok_; }
+  /// Mark the payload malformed: a module read a value its state cannot
+  /// take (the sticky flag then fails the whole restore).
+  void fail() { ok_ = false; }
   /// Fully consumed and error-free (trailing bytes mean a version skew).
   [[nodiscard]] bool done() const { return ok_ && off_ == n_; }
 

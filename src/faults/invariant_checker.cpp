@@ -74,25 +74,28 @@ void InvariantChecker::check_now() {
   for (const auto& enumerate : conn_enumerators_) enumerate(visit_conn);
 }
 
-void InvariantChecker::check_link(const net::Link& l) {
-  ++checks_run_;
+std::string link_conservation_error(const net::Link& l) {
   // Duplication manufactures packets inside the link, so clones join the
   // offered side; the gray hold buffer is one more place a live packet can
   // legitimately sit.
   const std::uint64_t accounted = l.delivered() + l.drops().total() +
                                   l.queue().len_packets() + l.live_in_flight() + l.held();
-  if (l.offered() + l.duplicated() != accounted) {
-    char buf[256];
-    std::snprintf(buf, sizeof buf,
-                  "link %u: conservation broken: offered=%llu + duplicated=%llu != "
-                  "delivered=%llu + drops=%llu + queued=%zu + in_flight=%zu + held=%zu",
-                  l.id(), static_cast<unsigned long long>(l.offered()),
-                  static_cast<unsigned long long>(l.duplicated()),
-                  static_cast<unsigned long long>(l.delivered()),
-                  static_cast<unsigned long long>(l.drops().total()), l.queue().len_packets(),
-                  l.live_in_flight(), l.held());
-    fail(buf);
-  }
+  if (l.offered() + l.duplicated() == accounted) return {};
+  char buf[256];
+  std::snprintf(buf, sizeof buf,
+                "link %u: conservation broken: offered=%llu + duplicated=%llu != "
+                "delivered=%llu + drops=%llu + queued=%zu + in_flight=%zu + held=%zu",
+                l.id(), static_cast<unsigned long long>(l.offered()),
+                static_cast<unsigned long long>(l.duplicated()),
+                static_cast<unsigned long long>(l.delivered()),
+                static_cast<unsigned long long>(l.drops().total()), l.queue().len_packets(),
+                l.live_in_flight(), l.held());
+  return buf;
+}
+
+void InvariantChecker::check_link(const net::Link& l) {
+  ++checks_run_;
+  if (std::string err = link_conservation_error(l); !err.empty()) fail(err);
   ++checks_run_;
   if (l.queue().len_packets() > l.queue().capacity()) {
     fail("link " + std::to_string(l.id()) + ": queue over capacity");

@@ -20,6 +20,14 @@ struct Violation {
   std::string what;
 };
 
+/// The per-link packet conservation law,
+///   offered + duplicated == delivered + drops.total() + queued
+///                           + live_in_flight + held,
+/// at a quiescent instant. Returns "" when it holds, otherwise one line
+/// naming the link and every term. Checked by InvariantChecker on each
+/// sweep and at the end of every run (core::World::collect).
+[[nodiscard]] std::string link_conservation_error(const net::Link& l);
+
 /// Opt-in runtime invariant probe: periodically sweeps the watched objects
 /// and checks properties that must hold in *any* simulation state, faulty
 /// or not. Zero-cost when not constructed; when armed it costs one probe

@@ -65,7 +65,8 @@ bool Queue::dequeue(Packet& out, sim::Time now) {
 }
 
 void Queue::save_state(core::ckpt::Saver& s) const {
-  fifo_.save_state(s);
+  s.u64(fifo_.size());
+  for (std::size_t i = 0; i < fifo_.size(); ++i) save_packet(s, fifo_[i]);
   s.u64(bytes_);
   s.u64(counters_.enqueued);
   s.u64(counters_.dropped);
@@ -80,7 +81,15 @@ void Queue::save_state(core::ckpt::Saver& s) const {
 }
 
 void Queue::restore_state(core::ckpt::Loader& l) {
-  fifo_.restore_state(l);
+  // The ring restarts at slot 0 and grows back only as far as the saved
+  // backlog needs: its physical layout is invisible to FIFO behaviour.
+  fifo_.clear();
+  const std::uint64_t n = l.u64();
+  if (n > capacity_) {  // a backlog no queue of this capacity can hold
+    l.fail();
+    return;
+  }
+  for (std::uint64_t i = 0; i < n && l.ok(); ++i) fifo_.push_back(load_packet(l));
   bytes_ = l.u64();
   counters_.enqueued = l.u64();
   counters_.dropped = l.u64();

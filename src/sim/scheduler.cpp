@@ -277,6 +277,9 @@ void Scheduler::restore_clock(Time now, std::uint64_t next_seq, std::uint64_t di
          "restore_clock needs a virgin scheduler");
   now_ = now;
   cursor_ = tick_of(now.ns());
+  // Every checkpointed event is keyed after the last one dispatched, so
+  // "everything before now" is a frontier no restored key has passed.
+  pass_before(now);
   next_seq_ = next_seq;
   dispatched_ = dispatched;
 }
@@ -323,6 +326,7 @@ bool Scheduler::pop_next(std::int64_t bound_ns, Time& t, EventCallback& cb) {
   }
   const std::uint32_t idx = e.slot();
   t = Time::nanoseconds(e.t_ns);
+  frontier_ = PendingKey{e.t_ns, e.key >> kSlotBits};
   cb = std::move(slots_[idx].cb);
   release_slot(idx);
   const std::int64_t tick = tick_of(e.t_ns);
@@ -368,7 +372,10 @@ void Scheduler::run_until(Time t) {
   // (or an external stop request) freezes time at the last dispatched event
   // (so measurement windows stay tight, and an emergency checkpoint lands
   // at a well-defined quiescent point).
-  if (!stopped_ && !external_stop() && now_ < t) now_ = t;
+  if (!stopped_ && !external_stop()) {
+    if (now_ < t) now_ = t;
+    pass_through(t.ns());
+  }
 }
 
 void Scheduler::run_before(Time bound) {
@@ -380,6 +387,7 @@ void Scheduler::run_before(Time bound) {
   while (!stopped_ && !external_stop() && pop_next(bound.ns() - 1, et, cb)) {
     dispatch(et, cb);
   }
+  if (!stopped_ && !external_stop()) pass_before(bound);
 }
 
 bool Scheduler::step_one() {

@@ -98,9 +98,12 @@ class Scheduler {
 
   /// Move the clock forward to `t` (no-op if already past). Barriers use
   /// this to align every shard's clock on the epoch boundary so that
-  /// relative delays stay correct after the handoff drain.
+  /// relative delays stay correct after the handoff drain. No event before
+  /// `t` may be pending, so the dispatch frontier (passed()) moves up to
+  /// the instant before `t` as well.
   void advance_clock_to(Time t) {
     if (now_ < t) now_ = t;
+    pass_before(t);
   }
 
   /// Request the run loop to return after the current event.
@@ -149,8 +152,18 @@ class Scheduler {
   /// Take the sequence number the next schedule_at() would have used,
   /// without inserting anything. Lets a module keep a FIFO of future
   /// events off the heap and arm only its head, each under the key it
-  /// would have had (net::Link's wire FIFO).
+  /// would have had (net::Link's wire FIFO), or keep a key unarmed until
+  /// something needs the event (net::Link's transmit completion).
   [[nodiscard]] std::uint64_t reserve_seq() { return next_seq_++; }
+
+  /// Whether `k` is at or below the dispatch frontier: the key of the last
+  /// dispatched event, raised to (T, max) when run_until(T) completes
+  /// quietly and to just below (t, 0) when run_before(t) completes quietly
+  /// or advance_clock_to(t) aligns the clock. Every event keyed at or below
+  /// it has run, so a reserved key that was never armed has "happened"
+  /// exactly when this turns true — the moment an eagerly scheduled event
+  /// under that key would have fired.
+  [[nodiscard]] bool passed(const PendingKey& k) const { return k <= frontier_; }
 
   /// Restore the clock, sequence counter and dispatch count saved by a
   /// checkpoint. Must be called on a virgin scheduler before any
@@ -264,8 +277,17 @@ class Scheduler {
   }
 
   /// Remove the earliest event with time <= `bound_ns`, moving its deadline
-  /// and callback out. Returns false when no such event exists.
+  /// and callback out and its key into the frontier. Returns false when no
+  /// such event exists.
   bool pop_next(std::int64_t bound_ns, Time& t, EventCallback& cb);
+
+  /// Raise the frontier past every key at or before `t_ns`.
+  void pass_through(std::int64_t t_ns) {
+    const PendingKey k{t_ns, ~std::uint64_t{0}};
+    if (frontier_ < k) frontier_ = k;
+  }
+  /// Raise the frontier past every key before instant `t`.
+  void pass_before(Time t) { pass_through(t.ns() - 1); }
 
   void dispatch(Time t, EventCallback& cb);
 
@@ -284,6 +306,9 @@ class Scheduler {
   std::vector<std::uint32_t> free_;
   Time now_ = Time::zero();
   std::uint64_t next_seq_ = 1;
+  /// Key of the last dispatched event, or higher (see passed()). Below
+  /// every real key at first: sequence numbers start at 1.
+  PendingKey frontier_{0, 0};
   std::uint64_t dispatched_ = 0;
   bool stopped_ = false;
   const std::atomic<bool>* stop_flag_ = nullptr;
