@@ -286,6 +286,11 @@ struct ExperimentResults {
   std::uint64_t invariant_checks = 0;
   std::vector<std::string> invariant_violations;
 
+  /// Packet conservation, checked for every link at the end of every run:
+  /// one line naming the first link whose law fails and all its terms, or
+  /// empty when every link balances. The CLI exits 3 on it.
+  std::string conservation_error;
+
   /// Sharded-engine accounting (zeroed in serial runs). Every field is a
   /// function of the logical shard structure only — independent of the
   /// worker count — so it belongs in deterministic summary output.

@@ -339,6 +339,10 @@ std::string job_result_file(std::size_t index) { return "job_" + std::to_string(
 int run_sweep_job(std::size_t index, const ExperimentConfig& cfg, const std::string& result_path) {
   try {
     const ExperimentResults res = run_experiment(cfg);
+    if (!res.conservation_error.empty()) {
+      std::fprintf(stderr, "job %zu: %s\n", index, res.conservation_error.c_str());
+      return 3;
+    }
     {
       trace::JsonWriter json{result_path};
       json.begin_object();

@@ -112,7 +112,8 @@ class Orchestrator {
 
 /// Default child body: run_experiment(cfg), write the job result JSON
 /// atomically to `result_path`. Returns 0, or 3 when invariant checking
-/// found violations, or 4 on an exception.
+/// found violations or a link broke packet conservation (the latter writes
+/// no result file), or 4 on an exception.
 int run_sweep_job(std::size_t index, const ExperimentConfig& cfg, const std::string& result_path);
 
 /// Result-file name for grid point `index`: "job_<index>.json".

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <regex>
+
+#include "core/world.hpp"
+#include "net/link.hpp"
+
 namespace xmp::core {
 namespace {
 
@@ -30,6 +35,29 @@ TEST(Experiment, PermutationRunCollectsGoodput) {
   EXPECT_GT(res.utilization_by_layer[0].count(), 0u);
   EXPECT_EQ(res.flows.size(), res.flow_category.size());
   EXPECT_EQ(res.flows.size(), res.flow_scheme.size());
+}
+
+// Every run checks packet conservation per link at its end. A link whose
+// counters do not balance is reported in the results, as one line naming
+// the link and every term; the library never exits the process.
+TEST(Experiment, BrokenConservationIsReportedInTheResults) {
+  auto cfg = small_config(Pattern::Permutation, workload::SchemeSpec::Kind::Xmp);
+  cfg.duration = sim::Time::milliseconds(2);
+  EXPECT_EQ(run_experiment(cfg).conservation_error, "");
+
+  World w{cfg, nullptr};
+  w.start(nullptr);
+  w.sched.run_until(cfg.duration);
+  // A packet put straight into link 3's queue was never offered to it.
+  net::Link& l = *w.netw.links()[3];
+  ASSERT_TRUE(l.queue().enqueue(net::Packet{}, w.sched.now()));
+  const auto res = w.collect(w.sched.now(), w.sched.dispatched());
+  EXPECT_TRUE(std::regex_match(
+      res.conservation_error,
+      std::regex{"link 3: conservation broken: offered=[0-9]+ \\+ duplicated=0 != "
+                 "delivered=[0-9]+ \\+ drops=0 \\+ queued=[1-9][0-9]* \\+ "
+                 "in_flight=[0-9]+ \\+ held=0"}))
+      << res.conservation_error;
 }
 
 TEST(Experiment, RandomRunKeepsIssuingFlows) {
