@@ -119,6 +119,7 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "  [done %2zu/%zu] %-6s %s\n", done, total, cells[i].first.c_str(),
                      core::pattern_name(patterns[cells[i].second]));
       });
+  bench::exit_on_conservation_error("bench_table1_goodput", ordered);
 
   std::map<std::string, std::array<core::ExperimentResults, 3>> results;
   for (std::size_t i = 0; i < ordered.size(); ++i) {

@@ -74,6 +74,7 @@ int main(int argc, char** argv) {
   const auto results = runner.run(grid, [](std::size_t, std::size_t done, std::size_t total) {
     std::fprintf(stderr, "  [done %zu/%zu]\n", done, total);
   });
+  bench::exit_on_conservation_error("bench_table2_coexistence", results);
 
   std::printf("\nAverage goodput (Mbps), measured (paper):\n");
   std::printf("%-14s %26s %26s\n", "", "queue = 50 pkts", "queue = 100 pkts");

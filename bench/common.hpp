@@ -42,6 +42,19 @@ class Args {
   std::vector<std::string> args_;
 };
 
+/// Exit 3 with one line naming the first run whose per-link packet
+/// conservation failed (ExperimentResults::conservation_error), as
+/// `xmpsim run` does: a table built on such a run would report numbers the
+/// simulator cannot vouch for.
+inline void exit_on_conservation_error(const char* bench,
+                                       const std::vector<core::ExperimentResults>& runs) {
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    if (runs[i].conservation_error.empty()) continue;
+    std::fprintf(stderr, "%s: run %zu: %s\n", bench, i, runs[i].conservation_error.c_str());
+    std::exit(3);
+  }
+}
+
 inline void print_banner(const char* experiment, const char* paper_artifact) {
   std::printf("==============================================================\n");
   std::printf("%s\n", experiment);

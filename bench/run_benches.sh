@@ -6,8 +6,11 @@
 #
 # Defaults: build-dir = build, output = BENCH_micro.json (repo root).
 # BM_SchedulerScheduleDispatch and BM_EndToEndTransfer are the regression
-# guards for the event engine — compare items_per_second / events_per_second
-# against the committed BENCH_micro.json before merging scheduler changes.
+# guards for the event engine — compare items_per_second and
+# bytes_per_second against the committed BENCH_micro.json before merging
+# scheduler changes. BM_EndToEndTransfer is guarded by bytes/s (its
+# transfer is fixed), not by its events/s counter: dropping a wasted event
+# makes the transfer faster but lowers events/s.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -62,9 +65,10 @@ with open(path, "w") as f:
     json.dump(data, f, indent=2)
     f.write("\n")
 for b in benches:
-    rate = b.get("items_per_second") or b.get("events/s")
-    if rate:
-        print(f"  {b['name']:<45} {rate / 1e6:10.2f} M/s")
+    if b.get("items_per_second"):
+        print(f"  {b['name']:<45} {b['items_per_second'] / 1e6:10.2f} M items/s")
+    elif b.get("bytes_per_second"):
+        print(f"  {b['name']:<45} {b['bytes_per_second'] / 1e6:10.2f} MB/s")
 EOF
 
 # Validation passed: publish atomically.

@@ -12,9 +12,12 @@
 # prints each side's median and IQR of run_s, cpu_s and peak_rss_mb and the
 # pairs the work tree won on run_s. Last, both sides run seed 1 once more
 # with --json/--metrics/--drops-csv, and the outputs must agree: drops.csv
-# byte for byte, summary.json and metrics.json ignoring only the
-# engine-cost counters (summary.events, sharding.micro_steps and its
-# metrics twin harness.shard.micro_steps). Exits 1 if any output differs.
+# and the checkpoint files (a workload that writes them) byte for byte,
+# summary.json and metrics.json ignoring only the engine-cost counters
+# (summary.events, sharding.micro_steps and its metrics twin
+# harness.shard.micro_steps). Checkpoints carry the scheduler's dispatch
+# count, so a change that saves events shows there too. Exits 1 if any
+# output differs.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -115,7 +118,13 @@ for name in names:
         one(sides[k], w, 1, dirs[k], extra)
     same = (outputs(dirs["base"]) == outputs(dirs["work"]) and
             filecmp.cmp(dirs["base"] / "drops.csv", dirs["work"] / "drops.csv", shallow=False))
-    differ += not same
-    print(f"  seed-1 outputs: {'identical' if same else 'DIFFER'}", flush=True)
+    ckpts = {k: sorted(p.name for p in (dirs[k] / "ckpt").iterdir()) for k in sides}
+    same_ckpt = ckpts["base"] == ckpts["work"] and all(
+        filecmp.cmp(dirs["base"] / "ckpt" / f, dirs["work"] / "ckpt" / f, shallow=False)
+        for f in ckpts["base"])
+    differ += not (same and same_ckpt)
+    print(f"  seed-1 outputs: {'identical' if same else 'DIFFER'}; "
+          f"{len(ckpts['base'])} checkpoint(s): {'identical' if same_ckpt else 'DIFFER'}",
+          flush=True)
 sys.exit(1 if differ else 0)
 EOF

@@ -273,6 +273,8 @@ void World::build_hybrid() {
     return hybrid->add_path(ids);
   };
   const int n_sub = cfg.scheme.multipath() ? cfg.scheme.subflows : 1;
+  const auto n_bg = static_cast<std::size_t>(cfg.hybrid.bg_flows);
+  hybrid->reserve(n_bg, n_bg * static_cast<std::size_t>(n_sub));
   model::hybrid::FluidAggregate agg;  // one registration record, reused
   agg.beta = static_cast<double>(cfg.scheme.beta);
   agg.total_bytes = cfg.hybrid.bg_bytes;

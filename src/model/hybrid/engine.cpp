@@ -27,25 +27,49 @@ int Engine::add_link(net::Link* link, double mark_threshold) {
   return index;
 }
 
-int Engine::add_path(const std::vector<int>& links) {
+namespace {
+
+std::uint64_t hop_hash(const int* first, const int* last) {
   std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (const int li : links) {
-    assert(li >= 0 && static_cast<std::size_t>(li) < links_.size());
-    h = net::mix64(h ^ static_cast<std::uint64_t>(li));
-  }
-  const auto [first, last] = path_dedup_.equal_range(h);
-  for (auto it = first; it != last; ++it) {
-    const auto p = static_cast<std::size_t>(it->second);
-    if (std::equal(links.begin(), links.end(), path_hop_.begin() + path_off_[p],
-                   path_hop_.begin() + path_off_[p + 1])) {
-      return it->second;
+  for (; first != last; ++first) h = net::mix64(h ^ static_cast<std::uint64_t>(*first));
+  return h;
+}
+
+}  // namespace
+
+int Engine::add_path(const std::vector<int>& links) {
+  assert(std::all_of(links.begin(), links.end(), [this](int li) {
+    return li >= 0 && static_cast<std::size_t>(li) < links_.size();
+  }));
+  if (2 * path_off_.size() > path_dedup_.size()) grow_path_dedup();
+  const std::size_t mask = path_dedup_.size() - 1;
+  std::size_t i = hop_hash(links.data(), links.data() + links.size()) & mask;
+  for (;; i = (i + 1) & mask) {
+    const int p = path_dedup_[i];
+    if (p < 0) break;
+    const auto pu = static_cast<std::size_t>(p);
+    if (std::equal(links.begin(), links.end(), path_hop_.begin() + path_off_[pu],
+                   path_hop_.begin() + path_off_[pu + 1])) {
+      return p;
     }
   }
   const int pid = static_cast<int>(path_off_.size() - 1);
   path_hop_.insert(path_hop_.end(), links.begin(), links.end());
   path_off_.push_back(static_cast<std::uint32_t>(path_hop_.size()));
-  path_dedup_.emplace(h, pid);
+  path_dedup_[i] = pid;
   return pid;
+}
+
+void Engine::grow_path_dedup() {
+  std::vector<int> table(std::max<std::size_t>(64, 2 * path_dedup_.size()), -1);
+  const std::size_t mask = table.size() - 1;
+  const int* hops = path_hop_.data();
+  for (std::size_t p = 0; p + 1 < path_off_.size(); ++p) {
+    std::size_t i = hop_hash(hops + path_off_[p], hops + path_off_[p + 1]) & mask;
+    while (table[i] >= 0) i = (i + 1) & mask;
+    table[i] = static_cast<int>(p);
+  }
+  path_dedup_.swap(table);
 }
 
 int Engine::add_aggregate(const FluidAggregate& agg) {

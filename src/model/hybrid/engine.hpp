@@ -28,7 +28,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <unordered_map>
 #include <vector>
 
 #include "net/link.hpp"
@@ -145,6 +144,12 @@ class Engine {
   /// Register a background flow. All paths referenced by its subflows must
   /// already be interned. Returns the aggregate index.
   int add_aggregate(const FluidAggregate& agg);
+  /// Size the aggregate and subflow tables for the registrations to come,
+  /// so they are allocated once rather than grown by doubling.
+  void reserve(std::size_t aggregates, std::size_t subflows) {
+    aggs_.reserve(aggregates);
+    subflows_.reserve(subflows);
+  }
 
   /// Called when a finite fluid flow crosses the promotion threshold. The
   /// callee starts the packet-domain tail (FlowManager::start_large_flow
@@ -221,6 +226,8 @@ class Engine {
   /// End of registration: size the per-tick scratch to the path and link
   /// tables and release the path dedup index. Idempotent.
   void seal();
+  /// Double the dedup table (64 slots at first) and re-index every path.
+  void grow_path_dedup();
   void tick();
   /// Push the marking duty-cycle phase / bandwidth share into the net-layer
   /// objects (after every tick and after a restore). The burst phase is a
@@ -236,7 +243,9 @@ class Engine {
   // Paths in CSR form: path p's hops are path_hop_[path_off_[p] .. path_off_[p+1]).
   std::vector<std::uint32_t> path_off_{0};
   std::vector<int> path_hop_;
-  std::unordered_multimap<std::uint64_t, int> path_dedup_;  ///< hop hash -> path id, until seal()
+  /// Path dedup index, until seal(): an open-addressing table of path ids
+  /// (-1 = empty), probed linearly from the hop hash, at most half full.
+  std::vector<int> path_dedup_;
   std::vector<Aggregate> aggs_;
   std::vector<FluidSubflowState> subflows_;  ///< all aggregates' subflows, contiguous per aggregate
   std::function<void(const PromotionInfo&)> on_promote_;

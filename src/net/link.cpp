@@ -267,7 +267,8 @@ void Link::set_down(bool down) {
     while (!remote_in_flight_.empty() && remote_in_flight_.front().deliver_t_ns < sched_.now().ns()) {
       remote_in_flight_.pop_front();
     }
-    for (const RemoteInFlight& f : remote_in_flight_) {
+    for (std::size_t i = 0; i < remote_in_flight_.size(); ++i) {
+      const RemoteInFlight& f = remote_in_flight_[i];
       if (f.epoch == epoch_) ++(f.corrupt ? drops_.corrupt : drops_.admin_down);
     }
     // The transmission is cut short too: a reopened link starts afresh,
@@ -355,7 +356,8 @@ void Link::save_state(core::ckpt::Saver& s) const {
   if (busy) save_tx(tx_end_, epoch_);
 
   s.u64(remote_in_flight_.size());
-  for (const RemoteInFlight& f : remote_in_flight_) {
+  for (std::size_t i = 0; i < remote_in_flight_.size(); ++i) {
+    const RemoteInFlight& f = remote_in_flight_[i];
     s.i64(f.deliver_t_ns);
     s.u64(f.epoch);
     s.b(f.corrupt);

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <limits>
 #include <memory>
 #include <vector>
@@ -289,7 +288,8 @@ class Link final {
   /// release event captures 16 bytes; release re-enters the normal enqueue
   /// path, which is why held packets never perturb the in-flight FIFO or
   /// the boundary-mode mirrors. set_down() cancels the release events and
-  /// accounts the contents, so the deque only ever holds live packets.
+  /// accounts the contents, so the vector only ever holds live packets. It
+  /// stays empty, and unallocated, on every link without a gray hold.
   struct Held {
     std::uint64_t id;
     bool duplicate;  ///< clone on release (deferred with the original)
@@ -297,12 +297,12 @@ class Link final {
     sim::EventId ev;
     sim::Scheduler::PendingKey key;  ///< ev's key, for checkpointing
   };
-  std::deque<Held> held_;
+  std::vector<Held> held_;
   std::uint64_t next_held_id_ = 0;
 
   // --- boundary-mode state. Thread ownership is partitioned: the source
   // shard writes offered_/queue_/busy_/bytes_sent_/drops_.{queue,fault}
-  // and the two deques below marked "src"; the destination shard writes
+  // and the mirror below marked "src"; the destination shard writes
   // delivered_ and drops_.corrupt; epoch_/down_/drops_.admin_down change
   // only at barriers with every shard quiesced. Distinct members, so no
   // two threads ever touch the same word. ---
@@ -314,13 +314,14 @@ class Link final {
   /// exactly like the serial in_flight_ FIFO. Pruned lazily: an entry is
   /// certainly delivered once deliver_t + pair_min_delay < now, because
   /// the destination clock can lag the source clock by at most one epoch
-  /// (= at most the pair's min propagation delay).
+  /// (= at most the pair's min propagation delay). A ring, like the wires,
+  /// so it allocates nothing on the links that never cross a shard.
   struct RemoteInFlight {
     std::int64_t deliver_t_ns;
     std::uint64_t epoch;
     bool corrupt;  ///< attribution on set_down: corrupt, not admin_down
   };
-  std::deque<RemoteInFlight> remote_in_flight_;
+  FifoRing<RemoteInFlight> remote_in_flight_;
 
   /// dst-consumed FIFO of packets drained at a barrier, awaiting delivery
   /// on dst_sched_.

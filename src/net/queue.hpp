@@ -17,18 +17,22 @@ namespace xmp::net {
 /// kDeepSlots a bounded ring takes its whole limit at once, so a burst into
 /// a deep buffer reallocates a few times, not a dozen.
 ///
-/// An egress queue bounded at 100 packets that mostly sits near K=10 thus
-/// keeps 16 or 32 slots, and its head cycles through those instead of
-/// walking a 100-slot buffer; an unbounded wire FIFO reuses its slots
-/// instead of allocating a std::deque block every few packets. Growth
-/// clamps to `limit`, so the slot count need not be a power of two: the
-/// wrap is a compare, not a mask. Growing re-lays the entries out from
-/// slot 0, which, like any other physical layout, is invisible to FIFO
-/// behaviour.
+/// Every link keeps several of these (its egress queue, its wire and, on a
+/// shard boundary, the parked arrivals and the conservation mirror), and
+/// most of them are short: a wire holds one to three packets at 1 Gbps and
+/// an egress queue averages under one. So the first allocation is four
+/// slots, and only a ring that fills them pays for more; an egress queue
+/// bounded at 100 packets that mostly sits near K=10 keeps 16 slots, and
+/// its head cycles through those instead of walking a 100-slot buffer. An
+/// unbounded wire FIFO reuses its slots instead of allocating a std::deque
+/// block every few packets. Growth clamps to `limit`, so the slot count
+/// need not be a power of two: the wrap is a compare, not a mask. Growing
+/// re-lays the entries out from slot 0, which, like any other physical
+/// layout, is invisible to FIFO behaviour.
 template <typename T>
 class FifoRing {
  public:
-  static constexpr std::size_t kFirstSlots = 16;
+  static constexpr std::size_t kFirstSlots = 4;
   static constexpr std::size_t kDeepSlots = 1024;
   static constexpr std::size_t kUnbounded = static_cast<std::size_t>(-1);
 

@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "core/experiment.hpp"
+#include "faults/invariant_checker.hpp"
 #include "net/handoff.hpp"
 #include "net/link.hpp"
 #include "sim/scheduler.hpp"
@@ -516,6 +517,14 @@ TEST(Checkpoint, RestoredBusyTransmitterQueuesTheNextPacket) {
                                                                               {124'000, 2}}));
 }
 
+std::string from_hex(const std::string& hex) {
+  std::string bytes;
+  for (std::size_t i = 0; i < hex.size(); i += 2) {
+    bytes.push_back(static_cast<char>(std::stoi(hex.substr(i, 2), nullptr, 16)));
+  }
+  return bytes;
+}
+
 // LNKS bytes written by the eager engine after a close and reopen within
 // one serialization time: besides the live completion they carry the stale
 // one of the closed epoch, which would have fired as a no-op. Restoring
@@ -536,10 +545,7 @@ TEST(Checkpoint, StaleCompletionRecordRoundTrips) {
     "05000000000000000000000000000000000000000000000000000000000000000200000000000000e02e0000"
     "0000000002000000000000000000000000000000b03600000000000006000000000000000100000000000000"
     "00000000000000000000000000000000";
-  std::string bytes;
-  for (std::size_t i = 0; i < hex.size(); i += 2) {
-    bytes.push_back(static_cast<char>(std::stoi(hex.substr(i, 2), nullptr, 16)));
-  }
+  const std::string bytes = from_hex(hex);
   ASSERT_EQ(ckpt::crc32(bytes.data(), bytes.size()), 0xef3912b7u);
 
   TxRig b;
@@ -569,7 +575,149 @@ TEST(Checkpoint, StaleCompletionRecordRoundTrips) {
   EXPECT_EQ(b.save(), a.save());
 }
 
-// The egress ring grows on demand (16, 32, ... slots); a checkpoint taken
+// --- LNKS: the gray hold buffer and the boundary link's conservation
+// mirror, the two per-link containers that stay empty on most links ---
+
+/// Holds uid 1 for 300 us as a reorder with a pending clone, and uid 3 for
+/// 50 us.
+class HoldRule final : public net::Link::FaultHook {
+ public:
+  net::Link::FaultVerdict on_send(const net::Packet& p) override {
+    net::Link::FaultVerdict v;
+    if (p.uid == 1) {
+      v.delay = sim::Time::microseconds(300);
+      v.reorder = true;
+      v.duplicate = true;
+    } else if (p.uid == 3) {
+      v.delay = sim::Time::microseconds(50);
+    }
+    return v;
+  }
+};
+
+/// WireRig's two links, both behind HoldRule, stepped the way the sharded
+/// engine steps them: source shard, barrier drain, destination shard.
+struct HoldRig {
+  net::ShardFabric fabric{2};
+  DiscardSink sink;
+  HoldRule hold;
+  net::Link local{fabric.sched(0), 0, 1'000'000'000, sim::Time::microseconds(100),
+                  net::make_queue(net::QueueConfig{}), sink};
+  net::Link boundary{fabric.sched(0), 1, 1'000'000'000, sim::Time::microseconds(12),
+                     net::make_queue(net::QueueConfig{}), sink};
+
+  HoldRig() {
+    fabric.note_cross_link(0, 1, boundary.prop_delay(), boundary.id());
+    boundary.set_remote_handoff(&fabric.channel(0, 1), fabric.sched(1));
+    local.set_fault_hook(&hold);
+    boundary.set_fault_hook(&hold);
+  }
+  void send(std::uint64_t uid) {
+    local.send(data(uid));
+    boundary.send(data(uid));
+  }
+  void step_to(sim::Time t) {
+    fabric.sched(0).run_before(t);
+    fabric.drain_all();
+    fabric.sched(1).run_before(t);
+  }
+  /// uids 0..5 at 0 us (1 and 3 held), 6 at 52 us; barriers at 40 and 55 us.
+  /// 3's release at 50 us prunes the first two mirror entries, so the
+  /// mirror's head is off the front of its storage when it is saved.
+  void history() {
+    for (std::uint64_t uid = 0; uid < 6; ++uid) send(uid);
+    step_to(sim::Time::microseconds(40));
+    fabric.sched(0).schedule_at(sim::Time::microseconds(52), [this] { send(6); });
+    step_to(sim::Time::microseconds(55));
+  }
+  [[nodiscard]] std::string save() const {
+    ckpt::Saver s;
+    local.save_state(s);
+    boundary.save_state(s);
+    return s.data();
+  }
+};
+
+// LNKS bytes of HoldRig::history() at its 55 us barrier, written while the
+// hold buffer was a std::deque and the mirror a std::deque: each link holds
+// uid 1 and its pending clone; the boundary link mirrors uids 4, 5 and 3
+// (5 and 3 parked on shard 1). The bytes restore and re-save unchanged,
+// the same history writes them today, and the conservation law counts the
+// held packet and the mirrored ones: closing the boundary link at the
+// barrier turns the two still propagating, the queued one and the held
+// one into admin_down drops, in the restored copy as in the saving run.
+TEST(Checkpoint, HoldBufferAndBoundaryMirrorRoundTrip) {
+  const std::string bytes = from_hex(
+    "01004c1d00000000000060ea0000000000000000000000000000070000000000000000000000000000000000"
+    "0000000000000000000000000000000000000000000000000000000000000000000000000000020000000000"
+    "00000000000000000000000000000000f03f0100000000000000060000000000000000000000000000000000"
+    "ffffffffffffffffdc0500000000000000000000000000000000000000000000000000000000000000dc0500"
+    "000000000006000000000000000000000000000000000000000000000001000000000094f14020cb00000000"
+    "00000300000000000000ffffffffffffffff00000000000000000100000000000000e0930400000000000400"
+    "00000000000001010000000000000000000000000000000000ffffffffffffffffdc05000000000000000000"
+    "00000000000000000000000000000000000000000000050000000000000080b5010000000000010000000000"
+    "00000000000000000000000000000000000000000000000000000000ffffffffffffffffdc05000000000000"
+    "0000000000000000000000000000000000000000000000000060e40100000000000800000000000000000000"
+    "0000000000020000000000000000000000000000000000ffffffffffffffffdc050000000000000000000000"
+    "000000000000000000000000000000000000000040130200000000000b000000000000000000000000000000"
+    "040000000000000000000000000000000000ffffffffffffffffdc0500000000000000000000000000000000"
+    "00000000000000000000000000000020420200000000000e0000000000000000000000000000000500000000"
+    "00000000000000000000000000ffffffffffffffffdc05000000000000000000000000000000000000000000"
+    "00000000000000000000d0780200000000001200000000000000000000000000000003000000000000000000"
+    "0000000000000000ffffffffffffffffdc050000000000000000000000000000000000000000000000000000"
+    "0000000000010000000000000030f20000000000001300000000000000000000000000000000000000000000"
+    "00000000000000000001004c1d00000000000060ea0000000000000000000000000000070000000000000003"
+    "0000000000000000000000000000000000000000000000000000000000000000000000000000000000000000"
+    "00000002000000000000000000000000000000000000000000f03f0100000000000000060000000000000000"
+    "000000000000000000ffffffffffffffffdc0500000000000000000000000000000000000000000000000000"
+    "000000000000dc05000000000000060000000000000000000000000000000000000000000000010000000000"
+    "94f14020cb0000000000000300000000000000ffffffffffffffff00000000000000000100000000000000e0"
+    "93040000000000050000000000000001010000000000000000000000000000000000ffffffffffffffffdc05"
+    "0000000000000000000000000000000000000000000000000000000000000000000000000000000100000000"
+    "00000030f200000000000014000000000000000000000000000000030000000000000080bb00000000000000"
+    "000000000000000060ea00000000000000000000000000000010210100000000000000000000000000000200"
+    "00000000000060ea000000000000040000000000000000000000000000000500000000000000000000000000"
+    "00000000ffffffffffffffffdc05000000000000000000000000000000000000000000000000000000000000"
+    "00102101000000000005000000000000000000000000000000030000000000000000000000000000000000ff"
+    "ffffffffffffffdc0500000000000000000000000000000000000000000000000000000000000000");
+  ASSERT_EQ(ckpt::crc32(bytes.data(), bytes.size()), 0x7756da50u);
+
+  HoldRig b;
+  b.fabric.sched(0).restore_clock(sim::Time::microseconds(52), 21, 0);
+  b.fabric.sched(1).restore_clock(sim::Time::microseconds(48), 6, 0);
+  ckpt::Loader l{bytes};
+  b.local.restore_state(l);
+  b.boundary.restore_state(l);
+  ASSERT_TRUE(l.done());
+  EXPECT_EQ(b.save(), bytes);
+  EXPECT_EQ(b.local.held(), 1u);
+  EXPECT_EQ(b.boundary.held(), 1u);
+  EXPECT_EQ(b.local.live_in_flight(), 5u);
+  EXPECT_EQ(b.boundary.live_in_flight(), 2u);
+
+  HoldRig a;
+  a.history();
+  EXPECT_EQ(a.save(), bytes);
+
+  for (HoldRig* r : {&a, &b}) {
+    EXPECT_EQ(faults::link_conservation_error(r->local), "");
+    EXPECT_EQ(faults::link_conservation_error(r->boundary), "");
+    r->boundary.set_down(true);
+    EXPECT_EQ(r->boundary.drops().admin_down, 4u);
+    EXPECT_EQ(r->boundary.live_in_flight(), 0u);
+    EXPECT_EQ(r->boundary.held(), 0u);
+    EXPECT_EQ(faults::link_conservation_error(r->boundary), "");
+  }
+  EXPECT_EQ(b.save(), a.save());
+  for (HoldRig* r : {&a, &b}) r->step_to(sim::Time::milliseconds(1));
+  EXPECT_EQ(b.local.delivered(), 8u);  // 0..6 and 1's clone
+  EXPECT_EQ(b.local.delivered(), a.local.delivered());
+  EXPECT_EQ(b.boundary.delivered(), a.boundary.delivered());
+  EXPECT_EQ(faults::link_conservation_error(b.local), "");
+  EXPECT_EQ(b.save(), a.save());
+}
+
+// The egress ring grows on demand (4, 8, 16, ... slots); a checkpoint taken
 // mid-growth, with the head off slot 0, restores to the same FIFO and the
 // same bytes, and both copies keep growing to the capacity identically.
 TEST(Checkpoint, EgressRingRoundTripsMidGrowth) {

@@ -402,7 +402,7 @@ TEST(FifoRing, GrowsAcrossAWrappedHeadKeepingOrder) {
 }
 
 // The egress queue's ring is bounded by the queue capacity, which need not
-// be a power of two: it grows 16, 32, 64, then clamps to 100, and wraps
+// be a power of two: it grows 4, 8, ... 64, then clamps to 100, and wraps
 // there like anywhere else.
 TEST(FifoRing, BoundedRingClampsToANonPowerOfTwoCapacity) {
   PacketRing r{100};
@@ -443,7 +443,8 @@ TEST(FifoRing, DeepRingsStopDoubling) {
       seen_unbounded.push_back(unbounded.slots());
     }
   }
-  EXPECT_EQ(seen_bounded, (std::vector<std::size_t>{16, 32, 64, 128, 256, 512, 1024, 10'000}));
+  EXPECT_EQ(seen_bounded,
+            (std::vector<std::size_t>{4, 8, 16, 32, 64, 128, 256, 512, 1024, 10'000}));
   EXPECT_EQ(seen_unbounded.back(), 8192u);
   for (int i = 0; i < 5'000; ++i) {
     EXPECT_EQ(bounded.front(), i);
