@@ -10,14 +10,20 @@
 # picks a subset), it runs `pairs` interleaved pairs on seeds 1000+i, the
 # order alternating (base first on even pairs, work first on odd ones), and
 # prints each side's median and IQR of run_s, cpu_s and peak_rss_mb and the
-# pairs the work tree won on run_s. Last, both sides run seed 1 once more
+# pairs the work tree won on run_s. The two runs of a pair share a seed, so
+# their ratio (work/base) cancels what the seed and the host's speed at
+# that moment do to both; it prints each metric's median ratio and
+# quartiles, and a one-sided sign test: the work tree loses a metric when
+# it is worse in so many of the untied pairs that a coin (either side as
+# likely to win) would do that with probability p < 0.05, and the script
+# then exits 1. Last, both sides run seed 1 once more
 # with --json/--metrics/--drops-csv, and the outputs must agree: drops.csv
 # and the checkpoint files (a workload that writes them) byte for byte,
 # summary.json and metrics.json ignoring only the engine-cost counters
 # (summary.events, sharding.micro_steps and its metrics twin
 # harness.shard.micro_steps). Checkpoints carry the scheduler's dispatch
 # count, so a change that saves events shows there too. Exits 1 if any
-# output differs.
+# output differs or the work tree loses a metric.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -52,7 +58,7 @@ build "$root/e2ebench/launcher" "$ab/build-launcher" rusage_exec
 
 python3 - "$ab/build-base/apps/xmpsim" "$ab/build-work/apps/xmpsim" "$pairs" "$ab/runs" \
   "${AB_WORKLOADS:-}" "$ab/build-launcher/rusage_exec" <<'EOF'
-import filecmp, json, shutil, statistics, subprocess, sys, time
+import filecmp, json, math, shutil, statistics, subprocess, sys, time
 from pathlib import Path
 
 sys.path.insert(0, "e2ebench")
@@ -84,6 +90,16 @@ def quartiles(v):
     return med, q1, q3
 
 
+METRICS = ("run_s", "cpu_s", "peak_rss_mb")  # all lower-is-better
+ALPHA = 0.05
+
+
+def sign_test_p(worse, n):
+    """P(the work tree is worse in >= `worse` of `n` untied pairs) when
+    each pair is a fair coin: the one-sided sign test's p-value."""
+    return sum(math.comb(n, i) for i in range(worse, n + 1)) / 2**n if n else 1.0
+
+
 def outputs(d):
     s = json.loads((d / "summary.json").read_text())
     s["summary"].pop("events", None)
@@ -94,6 +110,7 @@ def outputs(d):
 
 
 differ = 0
+lost = 0
 for name in names:
     w = WORKLOADS[name]
     series = {k: [] for k in sides}
@@ -107,10 +124,21 @@ for name in names:
     print(f"{name}: {pairs} pairs, work tree faster in {won}/{pairs}")
     for k in sides:
         cols = []
-        for j, metric in enumerate(("run_s", "cpu_s", "peak_rss_mb")):
+        for j, metric in enumerate(METRICS):
             med, q1, q3 = quartiles([r[j] for r in series[k]])
             cols.append(f"{metric} {med:.4g} (IQR {q3 - q1:.3g})")
         print(f"  {k:<4}  " + "  ".join(cols))
+    for j, metric in enumerate(METRICS):
+        ratios = [wk[j] / bs[j] for bs, wk in zip(series["base"], series["work"])]
+        med, q1, q3 = quartiles(ratios)
+        worse = sum(r > 1 for r in ratios)
+        untied = sum(r != 1 for r in ratios)
+        p = sign_test_p(worse, untied)
+        loses = p < ALPHA
+        lost += loses
+        print(f"  work/base {metric:<11} median {med:.3f} (q1 {q1:.3f}, q3 {q3:.3f}), "
+              f"worse in {worse}/{untied} untied pairs, sign test p={p:.3g}"
+              + ("  LOSES" if loses else ""))
 
     extra = ("--json=summary.json", "--metrics=metrics.json", "--drops-csv=drops.csv")
     dirs = {k: runs / name / f"{k}-seed1" for k in sides}
@@ -126,5 +154,5 @@ for name in names:
     print(f"  seed-1 outputs: {'identical' if same else 'DIFFER'}; "
           f"{len(ckpts['base'])} checkpoint(s): {'identical' if same_ckpt else 'DIFFER'}",
           flush=True)
-sys.exit(1 if differ else 0)
+sys.exit(1 if differ or lost else 0)
 EOF

@@ -3,7 +3,10 @@
 # 2 and 4, asserting the summary JSON, timeline CSV and metrics dump are
 # all byte-for-byte identical across N (worker-count invariance is the
 # engine's core guarantee — logical shards are fixed by the topology, so N
-# only changes wall-clock, never results).
+# only changes wall-clock, never results). Two scenarios: one round, and
+# three rounds whose flips run in serial micro-step segments; the second
+# also goes through `xmpsim verify`, whose kill+restore leg then resumes
+# from snapshots taken around those segments.
 # Also asserts the up-front one-line rejections for unsupported feature
 # combinations exit 2 without running anything.
 #
@@ -18,29 +21,50 @@ bin="$build/apps/xmpsim"
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
 
-base=(run --pattern=permutation --scheme=xmp --subflows=2 --k=4
-      --rounds=1 --duration=0.05 --seed=11)
-
-for n in 1 2 4; do
-  echo "== shard smoke: --shards=$n =="
-  "$bin" "${base[@]}" "--shards=$n" "--json=$tmp/summary-$n.json" \
-    "--trace-csv=$tmp/trace-$n.csv" "--metrics=$tmp/metrics-$n.json" \
-    > "$tmp/out-$n.txt"
-  grep -q '"sharding":' "$tmp/summary-$n.json" || {
-    echo "FAIL(--shards=$n): summary JSON has no sharding block" >&2
-    exit 1
-  }
-done
-
-for n in 2 4; do
-  for f in summary-X.json trace-X.csv metrics-X.json; do
-    cmp "$tmp/${f/X/1}" "$tmp/${f/X/$n}" || {
-      echo "FAIL: --shards=$n ${f%%-*} differs from --shards=1 (determinism broken)" >&2
+# compare_shards NAME RUN-FLAGS...: run at --shards=1/2/4 and byte-compare.
+compare_shards() {
+  local name="$1"; shift
+  local n f
+  for n in 1 2 4; do
+    echo "== shard smoke ($name): --shards=$n =="
+    "$bin" run "$@" "--shards=$n" "--json=$tmp/$name-summary-$n.json" \
+      "--trace-csv=$tmp/$name-trace-$n.csv" "--metrics=$tmp/$name-metrics-$n.json" \
+      > "$tmp/$name-out-$n.txt"
+    grep -q '"sharding":' "$tmp/$name-summary-$n.json" || {
+      echo "FAIL($name, --shards=$n): summary JSON has no sharding block" >&2
       exit 1
     }
   done
-done
-echo "shards=1/2/4 summary/trace/metrics byte-identical"
+  for n in 2 4; do
+    for f in summary-X.json trace-X.csv metrics-X.json; do
+      cmp "$tmp/$name-${f/X/1}" "$tmp/$name-${f/X/$n}" || {
+        echo "FAIL($name): --shards=$n ${f%%-*} differs from --shards=1 (determinism broken)" >&2
+        exit 1
+      }
+    done
+  done
+  echo "$name: shards=1/2/4 summary/trace/metrics byte-identical"
+}
+
+compare_shards one-round --pattern=permutation --scheme=xmp --subflows=2 --k=4 \
+  --rounds=1 --duration=0.05 --seed=11
+
+# Three rounds that all finish inside the horizon: two round flips, each
+# in a serial micro-step segment.
+rounds=(--pattern=permutation --scheme=xmp --subflows=2 --k=4 --rounds=3 --duration=0.5
+        --seed=11)
+compare_shards three-rounds "${rounds[@]}"
+grep -q '"flows": 48' "$tmp/three-rounds-summary-1.json" || {
+  echo "FAIL(three-rounds): not every round finished" >&2
+  exit 1
+}
+echo "== shard smoke (three-rounds): verify =="
+"$bin" verify "${rounds[@]}" --dir="$tmp/verify" > "$tmp/verify.log" 2>&1 || {
+  cat "$tmp/verify.log" >&2
+  echo "FAIL(three-rounds): xmpsim verify" >&2
+  exit 1
+}
+echo "three-rounds: verify passed"
 
 # Unsupported combinations must be rejected up front with exit 2.
 expect_exit2() {

@@ -1,4 +1,3 @@
-#include <algorithm>
 #include <cassert>
 #include <cstdio>
 #include <cstdlib>
@@ -84,14 +83,13 @@ AttemptOutcome attempt(const ExperimentConfig& cfg, const std::set<std::int64_t>
                                   ? fabric.lookahead()
                                   : horizon + sim::Time::nanoseconds(1);
 
-  // Align every clock on `t`, but no clock past its own strand's next
-  // event. A round flip inside a serial micro-step starts flows on shards
-  // whose clocks still stand at the previous step, so their first events
-  // can fall before the step that flipped the round; such a strand waits
-  // at its next event and runs it at its own time, never with its clock
-  // moving back.
+  // Align every clock on `t`. Callers pass a time no strand has an event
+  // before, so no clock passes an event it still has to run.
   auto all_clocks_to = [&](sim::Time t) {
-    const auto align = [t](sim::Scheduler& s) { s.advance_clock_to(std::min(t, s.next_time())); };
+    const auto align = [t](sim::Scheduler& s) {
+      assert(s.next_time() >= t && "a strand would skip an event");
+      s.advance_clock_to(t);
+    };
     for (int s = 0; s < n_shards; ++s) align(fabric.sched(s));
     align(control);
   };
@@ -114,12 +112,6 @@ AttemptOutcome attempt(const ExperimentConfig& cfg, const std::set<std::int64_t>
     t_out = best;
     return who;
   };
-
-  // A snapshot resumes its run at the control clock, so it is taken only
-  // at a barrier `t` the control clock stands on. A serial segment whose
-  // last step ran one of those early events ends before a step it already
-  // took; a later barrier takes the snapshot instead.
-  auto resumable_at = [&](sim::Time t) { return control.now() == t; };
 
   // Snapshots happen only at barriers, where handoff channels are drained
   // and every clock is aligned — the sharded engine's quiescent points.
@@ -145,33 +137,31 @@ AttemptOutcome attempt(const ExperimentConfig& cfg, const std::set<std::int64_t>
       if (auto* tr = obs::tracer(); tr != nullptr) [[unlikely]] {
         tr->shard_epoch(start, w.epoch_index, serial_until.us(), /*serial=*/true);
       }
-      // A segment ends after the last event it stepped (seg_t), so it must
-      // step every event an eager engine had: transmit completions that
-      // find the queue empty included. Outside serial segments they change
-      // nothing and stay unarmed.
-      for (const auto& l : w.netw.links()) l->set_eager_completion(true);
       sim::Time seg_t = start;
       for (;;) {
         sim::Time t;
         sim::Scheduler* s = earliest(t);
         if (s == nullptr || t > horizon) {
           seg_t = horizon;
+          all_clocks_to(horizon);
           break;
         }
         // The segment ends once the next round is in full flight again and
         // one full lookahead window has been stepped through.
         if (t >= serial_until && perm.pending_flows() > 1) break;
+        // `t` is the earliest event of all, so every clock can stand on it
+        // before the step: a round flip then starts the next round's flows
+        // at the flip's own time on every shard.
+        all_clocks_to(t);
         s->step_one();
         ++stats.micro_steps;
         stats.handoff_packets += fabric.drain_all();
-        all_clocks_to(t);
         seg_t = t;
         if (done) break;
         // Clocks are aligned and handoffs drained right here, so an external
         // stop can cut the segment short and still checkpoint safely below.
         if (stop_flag != nullptr && stop_flag->load()) break;
       }
-      for (const auto& l : w.netw.links()) l->set_eager_completion(false);
       ++stats.barriers;
       if (auto* tr = obs::tracer(); tr != nullptr) [[unlikely]] {
         tr->shard_barrier(seg_t, w.epoch_index, 0);
@@ -220,7 +210,8 @@ AttemptOutcome attempt(const ExperimentConfig& cfg, const std::set<std::int64_t>
     ++w.epoch_index;
 
     // ---- quiescent point: channels drained, every clock == start ----
-    if (ckpt_on && !done && resumable_at(start)) {
+    assert(done || control.now() == start);
+    if (ckpt_on && !done) {
       if (stop_flag != nullptr && stop_flag->load()) {
         w.write_checkpoint();
         w.res.ckpt.interrupted = true;

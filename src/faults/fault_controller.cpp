@@ -27,11 +27,11 @@ net::Link::FaultVerdict LossProcess::on_send(const net::Packet& /*p*/) {
     }
     p_loss = bad_state_ ? model_.loss_bad : model_.loss_good;
   }
-  if (p_loss > 0.0 && rng_.uniform01() < p_loss) return net::Link::FaultAction::Drop;
+  if (p_loss > 0.0 && rng_.uniform01() < p_loss) return net::Link::FaultVerdict::Action::Drop;
   if (model_.p_corrupt > 0.0 && rng_.uniform01() < model_.p_corrupt) {
-    return net::Link::FaultAction::Corrupt;
+    return net::Link::FaultVerdict::Action::Corrupt;
   }
-  return net::Link::FaultAction::Pass;
+  return net::Link::FaultVerdict::Action::Pass;
 }
 
 namespace {

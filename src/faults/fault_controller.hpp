@@ -148,7 +148,7 @@ class FaultController {
       net::Link::FaultVerdict v;
       if (loss != nullptr) {
         v = loss->on_send(p);
-        if (v.action == net::Link::FaultAction::Drop) return v;
+        if (v.action == net::Link::FaultVerdict::Action::Drop) return v;
       }
       if (gray != nullptr) gray->impair(v);
       return v;

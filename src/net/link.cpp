@@ -60,13 +60,13 @@ void Link::send(Packet p) {
   if (fault_hook_ != nullptr) {
     const FaultVerdict v = fault_hook_->on_send(p);
     switch (v.action) {
-      case FaultAction::Pass:
+      case FaultVerdict::Action::Pass:
         break;
-      case FaultAction::Drop:
+      case FaultVerdict::Action::Drop:
         ++drops_.fault;
         note_drop(sched_.now(), id_, obs::DropCause::Fault);
         return;
-      case FaultAction::Corrupt:
+      case FaultVerdict::Action::Corrupt:
         p.corrupt = true;  // rides the wire, discarded at the sink end
         break;
     }
@@ -114,7 +114,7 @@ void Link::enqueue_for_tx(Packet&& p, bool dup) {
   if (!tx_busy()) {
     start_transmission();
   } else if (tx_ev_ == sim::kInvalidEventId && queue_->len_packets() > 0) {
-    tx_ev_ = arm_completion(tx_end_, epoch_);  // the first packet to wait behind it
+    tx_ev_ = arm_completion();  // the first packet to wait behind it
   }
 }
 
@@ -160,40 +160,16 @@ void Link::start_transmission() {
   // The transmitter frees up after serialization only. Its completion takes
   // the sequence number an eagerly scheduled event would have, so every
   // later key (and tie order) is unchanged; the event itself is armed only
-  // once a packet waits for it (or at once, under set_eager_completion).
+  // once a packet waits for it.
   tx_end_ = Key{(sched_.now() + tx).ns(), sched_.reserve_seq()};
-  if (eager_completion_ || queue_->len_packets() > 0) tx_ev_ = arm_completion(tx_end_, epoch_);
+  if (queue_->len_packets() > 0) tx_ev_ = arm_completion();
 }
 
-sim::EventId Link::arm_completion(Key key, std::uint64_t epoch) {
-  return sched_.restore_at(sim::Time::nanoseconds(key.t_ns), key.seq, [this, epoch] {
-    if (epoch != epoch_) return;  // cut short by a set_down()
+sim::EventId Link::arm_completion() {
+  return sched_.restore_at(sim::Time::nanoseconds(tx_end_.t_ns), tx_end_.seq, [this] {
     tx_ev_ = sim::kInvalidEventId;
     start_transmission();
   });
-}
-
-void Link::set_eager_completion(bool on) {
-  eager_completion_ = on;
-  std::erase_if(stale_tx_, [this](const StaleTx& st) { return sched_.passed(st.key); });
-  if (!on) {
-    // Back to lazy: cancel every completion nothing waits for, leaving the
-    // events restore_state() arms, so a snapshot taken now resumes into
-    // the same scheduler contents as the run that wrote it.
-    for (StaleTx& st : stale_tx_) {
-      sched_.cancel(st.ev);
-      st.ev = sim::kInvalidEventId;
-    }
-    if (queue_->len_packets() == 0) {
-      sched_.cancel(tx_ev_);
-      tx_ev_ = sim::kInvalidEventId;
-    }
-    return;
-  }
-  for (StaleTx& st : stale_tx_) {
-    if (st.ev == sim::kInvalidEventId) st.ev = arm_completion(st.key, st.epoch);
-  }
-  if (tx_busy() && tx_ev_ == sim::kInvalidEventId) tx_ev_ = arm_completion(tx_end_, epoch_);
 }
 
 void Link::push_wire(Wire& w, InFlight&& f) {
@@ -272,17 +248,11 @@ void Link::set_down(bool down) {
       if (f.epoch == epoch_) ++(f.corrupt ? drops_.corrupt : drops_.admin_down);
     }
     // The transmission is cut short too: a reopened link starts afresh,
-    // and its completion turns stale. Under eager completions it stays
-    // armed and fires as a no-op; otherwise nothing waits for it.
-    std::erase_if(stale_tx_, [this](const StaleTx& st) { return sched_.passed(st.key); });
-    if (!eager_completion_) sched_.cancel(tx_ev_);
-    if (tx_busy()) {
-      stale_tx_.push_back(
-          StaleTx{tx_end_, epoch_, eager_completion_ ? tx_ev_ : sim::kInvalidEventId});
-    }
+    // so nothing waits for its completion any more.
+    sched_.cancel(tx_ev_);
     tx_ev_ = sim::kInvalidEventId;
     tx_end_ = kIdle;
-    ++epoch_;  // cancels in-flight deliveries and that completion
+    ++epoch_;  // cancels in-flight deliveries
     Packet discard;
     while (queue_->dequeue(discard, sched_.now())) {
       ++(discard.corrupt ? drops_.corrupt : drops_.admin_down);  // flushed on closure
@@ -340,20 +310,13 @@ void Link::save_state(core::ckpt::Saver& s) const {
   };
   save_wire(in_flight_);
 
-  // Transmit-complete records, armed or not, in the order an eager engine
-  // kept its pending events: stale ones by age, then the busy one's.
-  std::uint64_t n_tx = busy ? 1 : 0;
-  for (const StaleTx& st : stale_tx_) n_tx += sched_.passed(st.key) ? 0 : 1;
-  s.u64(n_tx);
-  const auto save_tx = [&s](Key k, std::uint64_t epoch) {
-    s.i64(k.t_ns);
-    s.u64(k.seq);
-    s.u64(epoch);
-  };
-  for (const StaleTx& st : stale_tx_) {
-    if (!sched_.passed(st.key)) save_tx(st.key, st.epoch);
+  // The transmit-complete record list: the busy transmitter's, armed or not.
+  s.u64(busy ? 1 : 0);
+  if (busy) {
+    s.i64(tx_end_.t_ns);
+    s.u64(tx_end_.seq);
+    s.u64(epoch_);
   }
-  if (busy) save_tx(tx_end_, epoch_);
 
   s.u64(remote_in_flight_.size());
   for (std::size_t i = 0; i < remote_in_flight_.size(); ++i) {
@@ -408,17 +371,16 @@ void Link::restore_state(core::ckpt::Loader& l) {
   };
   restore_wire(in_flight_);
 
+  // Files written before cut-short completions were forgotten at set_down()
+  // also list those, ahead of the live one; their epoch is over, so they
+  // are dropped.
   const std::uint64_t n_tx = l.u64();
   for (std::uint64_t i = 0; i < n_tx && l.ok(); ++i) {
     const Key key{l.i64(), l.u64()};
     const std::uint64_t epoch = l.u64();
-    if (epoch == epoch_) {
-      tx_end_ = key;
-    } else {
-      stale_tx_.push_back(StaleTx{key, epoch, sim::kInvalidEventId});
-    }
+    if (epoch == epoch_) tx_end_ = key;
   }
-  if (tx_busy() && queue_->len_packets() > 0) tx_ev_ = arm_completion(tx_end_, epoch_);
+  if (tx_busy() && queue_->len_packets() > 0) tx_ev_ = arm_completion();
 
   const std::uint64_t n_remote = l.u64();
   for (std::uint64_t i = 0; i < n_remote && l.ok(); ++i) {

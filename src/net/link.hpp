@@ -23,8 +23,8 @@ class PacketSink {
 
 /// Per-cause drop accounting of one link. Every packet offered to the link
 /// ends up in exactly one of {delivered, one of these counters, still
-/// queued/in flight}, which the InvariantChecker verifies as a conservation
-/// law.
+/// queued/in flight}, a conservation law World::collect checks at the end
+/// of every run.
 struct LinkDropCounters {
   std::uint64_t queue = 0;       ///< egress queue rejected the packet
   std::uint64_t admin_down = 0;  ///< link administratively closed (incl. flushes)
@@ -63,8 +63,6 @@ class Link final {
     constexpr FaultVerdict(Action a) : action{a} {}
     friend bool operator==(const FaultVerdict&, const FaultVerdict&) = default;
   };
-  /// Historical name for the exclusive part of the verdict.
-  using FaultAction = FaultVerdict::Action;
 
   /// Injected per-link loss/corruption/gray-failure process (see
   /// faults::FaultController). A null hook — the default — costs one
@@ -141,15 +139,6 @@ class Link final {
   /// yet passed the scheduler's dispatch frontier).
   [[nodiscard]] bool transmitting() const { return tx_busy(); }
 
-  /// Arm every transmit completion, including ones that will find the queue
-  /// empty and those of transmissions a set_down() cut short, as an engine
-  /// that scheduled each one eagerly had them. The sharded engine turns
-  /// this on for its serial micro-step segments, whose end depends on every
-  /// event they step. Off (the default), a completion is armed only while a
-  /// packet waits for it; switching off cancels the rest, which leaves
-  /// exactly the events restore_state() would arm.
-  void set_eager_completion(bool on);
-
   /// Total bytes fully transmitted onto the wire.
   [[nodiscard]] std::uint64_t bytes_sent() const { return bytes_sent_; }
   /// Cumulative time the transmitter was busy.
@@ -200,8 +189,9 @@ class Link final {
   /// the (time, sequence) keys of the pending hold-release, delivery and
   /// transmit-complete events. On restore the events are re-armed under
   /// their original keys, so dispatch order is unchanged. The transmit
-  /// completion is saved whenever the transmitter is busy, armed or not
-  /// (the layout of an engine that always armed it).
+  /// completion is saved whenever the transmitter is busy, armed or not.
+  /// Older files may also carry completions of transmissions a set_down()
+  /// cut short; restore reads and drops them.
   void save_state(core::ckpt::Saver& s) const;
   void restore_state(core::ckpt::Loader& l);
 
@@ -244,9 +234,9 @@ class Link final {
   /// The transmitter is busy until its reserved transmit-complete key has
   /// passed the scheduler's dispatch frontier.
   [[nodiscard]] bool tx_busy() const { return !sched_.passed(tx_end_); }
-  /// Schedule the completion keyed `key` of link epoch `epoch`; it starts
-  /// the next transmission unless a set_down() has ended that epoch.
-  [[nodiscard]] sim::EventId arm_completion(sim::Scheduler::PendingKey key, std::uint64_t epoch);
+  /// Schedule the current transmission's completion, which starts the next
+  /// one. set_down() cancels it.
+  [[nodiscard]] sim::EventId arm_completion();
   /// Enqueue for transmission after the verdict's entry effects; `dup`
   /// materializes the clone right behind the original.
   void enqueue_for_tx(Packet&& p, bool dup);
@@ -329,25 +319,12 @@ class Link final {
 
   /// Key of the current transmission's end, reserved when it started. The
   /// event under it is armed (tx_ev_) only while a packet waits in the
-  /// queue or completions are eager: a completion that finds the queue
-  /// empty would do nothing, so otherwise it is never scheduled, and
-  /// tx_busy() stands in for it. kIdle (passed
-  /// by every frontier) when no transmission is under way.
+  /// queue: a completion that finds the queue empty would do nothing, so it
+  /// is never scheduled, and tx_busy() stands in for it. kIdle (passed by
+  /// every frontier) when no transmission is under way.
   static constexpr sim::Scheduler::PendingKey kIdle{std::numeric_limits<std::int64_t>::min(), 0};
   sim::Scheduler::PendingKey tx_end_ = kIdle;
   sim::EventId tx_ev_ = sim::kInvalidEventId;
-  bool eager_completion_ = false;  ///< see set_eager_completion()
-
-  /// Completions of transmissions a set_down() cut short, kept until their
-  /// keys pass: an eager engine still had them pending (as no-ops), so they
-  /// are checkpointed and armed only under set_eager_completion(). Empty
-  /// unless a link closed within one serialization time.
-  struct StaleTx {
-    sim::Scheduler::PendingKey key;
-    std::uint64_t epoch;
-    sim::EventId ev;  ///< the armed no-op, or kInvalidEventId
-  };
-  std::vector<StaleTx> stale_tx_;
 
   bool down_ = false;
   std::uint64_t epoch_ = 0;  ///< invalidates in-flight deliveries on set_down

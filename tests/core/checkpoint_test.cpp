@@ -525,12 +525,13 @@ std::string from_hex(const std::string& hex) {
   return bytes;
 }
 
-// LNKS bytes written by the eager engine after a close and reopen within
-// one serialization time: besides the live completion they carry the stale
-// one of the closed epoch, which would have fired as a no-op. Restoring
-// keeps it as a record, arms the live one (packet 3 waits), and the run
-// finishes as that engine's did: 2 lands at 114 us and 3 at 126 us. The
-// same history run here saves the same bytes.
+// LNKS bytes written, after a close and reopen within one serialization
+// time, by an engine that kept the closed epoch's cut-short completion:
+// besides the live record (2's end at 14 us, epoch 1) they carry that stale
+// one (1's end at 12 us, epoch 0). Restoring drops it and arms the live one
+// (packet 3 waits), and the run finishes as the saving run did: 2 lands at
+// 114 us and 3 at 126 us. Re-saving drops exactly the stale record, and the
+// same history run here saves those bytes.
 TEST(Checkpoint, StaleCompletionRecordRoundTrips) {
   const std::string hex =
     "0100b80b000000000000c05d0000000000000100000000000000030000000000000000000000000000000000"
@@ -547,10 +548,18 @@ TEST(Checkpoint, StaleCompletionRecordRoundTrips) {
     "00000000000000000000000000000000";
   const std::string bytes = from_hex(hex);
   ASSERT_EQ(ckpt::crc32(bytes.data(), bytes.size()), 0xef3912b7u);
+  // The transmit-complete list: a record count at byte 428, then one
+  // (t_ns, seq, epoch) record per completion, the stale one first.
+  constexpr std::size_t kCount = 428;
+  ASSERT_EQ(bytes.substr(kCount, 8 + 24),
+            from_hex("0200000000000000e02e00000000000002000000000000000000000000000000"));
+  const std::string resaved = bytes.substr(0, kCount) + from_hex("0100000000000000") +
+                              bytes.substr(kCount + 8 + 24);
+  EXPECT_EQ(ckpt::crc32(resaved.data(), resaved.size()), 0xd2eb0fabu);
 
   TxRig b;
   b.restore(sim::Time::microseconds(5), 7, bytes);
-  EXPECT_EQ(b.save(), bytes);
+  EXPECT_EQ(b.save(), resaved);
   EXPECT_TRUE(b.link.transmitting());
   EXPECT_EQ(b.link.queue().len_packets(), 1u);
   EXPECT_EQ(b.sched.pending(), 2u);  // the wire head (stale 1) and 2's completion
@@ -569,7 +578,7 @@ TEST(Checkpoint, StaleCompletionRecordRoundTrips) {
   });
   a.sched.run_until(sim::Time::microseconds(5));
   EXPECT_EQ(a.sched.next_seq(), 7u);
-  EXPECT_EQ(a.save(), bytes);
+  EXPECT_EQ(a.save(), resaved);
   a.sched.run_until(sim::Time::milliseconds(1));
   EXPECT_EQ(a.sink.got, b.sink.got);
   EXPECT_EQ(b.save(), a.save());

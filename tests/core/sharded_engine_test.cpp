@@ -19,6 +19,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <fstream>
+#include <map>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -26,6 +30,7 @@
 #include "net/handoff.hpp"
 #include "net/link.hpp"
 #include "net/network.hpp"
+#include "obs/timeline.hpp"
 #include "sim/scheduler.hpp"
 
 namespace xmp::core {
@@ -84,9 +89,9 @@ TEST(ShardedEngine, GoldenShardedFingerprint) {
   EXPECT_TRUE(r.sharded);
   EXPECT_EQ(r.shard.logical_shards, 4);
   EXPECT_DOUBLE_EQ(r.shard.lookahead_us, 40.0);
-  // Engine cost: outside serial segments no transmit-complete event is
-  // armed for a queue left empty.
-  EXPECT_EQ(r.events_dispatched, 51668u);
+  // Engine cost: no transmit-complete event is armed for a queue left
+  // empty, in serial segments too.
+  EXPECT_EQ(r.events_dispatched, 51665u);
   EXPECT_EQ(r.flows.size(), 16u);
   EXPECT_EQ(r.goodput.count(), 16u);
   EXPECT_DOUBLE_EQ(r.goodput.mean(), 483.20222212422357);
@@ -95,7 +100,7 @@ TEST(ShardedEngine, GoldenShardedFingerprint) {
   EXPECT_EQ(r.shard.epochs, 205u);
   EXPECT_EQ(r.shard.barriers, 206u);
   EXPECT_EQ(r.shard.handoff_packets, 6562u);
-  EXPECT_EQ(r.shard.micro_steps, 7u);
+  EXPECT_EQ(r.shard.micro_steps, 4u);
   EXPECT_EQ(r.shard.replays, 0u);
   EXPECT_EQ(r.rtt_by_category[1].count(), 2u);
   EXPECT_DOUBLE_EQ(r.rtt_by_category[1].mean(), 0.37936899999999996);
@@ -104,6 +109,54 @@ TEST(ShardedEngine, GoldenShardedFingerprint) {
   EXPECT_DOUBLE_EQ(r.utilization_by_layer[0].mean(), 0.3728936636786826);
   EXPECT_DOUBLE_EQ(r.queue_occupancy_by_layer[0].mean(), 0.84078766398645788);
   EXPECT_DOUBLE_EQ(r.queue_occupancy_by_layer[1].mean(), 0.95095674797060759);
+}
+
+// Short rounds end inside serial micro-step segments, where the round's
+// last flow flips it on one shard while the other shards wait. Every
+// shard must start the next round's flows at the flip's own time, not at
+// its clock's last step: no shard may hold an event before the flip. A new
+// flow's first packet is sampled on its source NIC as it is queued, so in
+// the trace, where a serial step's rows follow one another, the first NIC
+// sample after a flow's start must not be earlier than that start. Host h's
+// NIC is link 2h, and round r starts flows 16r..16r+15 from hosts 0..15.
+TEST(ShardedEngine, RoundFlipStartsFlowsAtTheFlipOnEveryShard) {
+  const std::string path = ::testing::TempDir() + "xmp_round_flip_trace.csv";
+  auto cfg = sharded_cfg(2);
+  cfg.permutation_rounds = 6;
+  cfg.perm_min_bytes = 20'000;
+  cfg.perm_max_bytes = 40'000;
+  cfg.duration = sim::Time::seconds(0.03);
+  cfg.obs.trace_csv = path;
+  cfg.obs.categories = obs::cat::kQueue | obs::cat::kFlow;
+  const auto r = run_experiment(cfg);
+  ASSERT_GE(r.shard.micro_steps, 100u);
+  ASSERT_EQ(r.flows.size(), 6u * 16u);
+
+  constexpr std::uint64_t kHosts = 16;
+  std::map<std::uint64_t, std::int64_t> started;  // host -> start of its new flow
+  std::uint64_t checked = 0;
+  std::ifstream in{path};
+  std::string line;
+  ASSERT_TRUE(std::getline(in, line));  // header
+  while (std::getline(in, line)) {
+    std::istringstream row{line};
+    std::string t_ns, kind, id;
+    std::getline(row, t_ns, ',');
+    std::getline(row, kind, ',');
+    std::getline(row, id, ',');
+    const std::int64_t t = std::stoll(t_ns);
+    const std::uint64_t n = std::stoull(id);
+    if (kind == "flow_start" && n >= kHosts) {  // rounds 1..5 start at a flip
+      started[n % kHosts] = t;
+    } else if (kind == "queue_sample" && n % 2 == 0 && n / 2 < kHosts) {
+      const auto it = started.find(n / 2);
+      if (it == started.end()) continue;
+      EXPECT_GE(t, it->second) << "host " << n / 2 << "'s NIC ran before its flow started";
+      started.erase(it);
+      ++checked;
+    }
+  }
+  EXPECT_GE(checked, 2 * kHosts);
 }
 
 // The serial engine's golden constants (determinism_test.cpp) pin its

@@ -163,11 +163,11 @@ TEST(LossProcess, GilbertExtremesPinTheChannelState) {
   // p_good_bad = 1, p_bad_good = 0, loss_bad = 1: every packet after the
   // first transition is lost.
   LossProcess always_bad{LossModel::gilbert(1.0, 0.0, 1.0), 1, 0};
-  for (const auto v : draw(always_bad, 50)) EXPECT_EQ(v, net::Link::FaultAction::Drop);
+  for (const auto v : draw(always_bad, 50)) EXPECT_EQ(v, net::Link::FaultVerdict::Action::Drop);
   // p_good_bad = 0, loss_good = 0: the channel never degrades.
   LossProcess always_good{LossModel::gilbert(1e-12, 0.5, 1.0), 1, 0};
   int drops = 0;
-  for (const auto v : draw(always_good, 50)) drops += v == net::Link::FaultAction::Drop;
+  for (const auto v : draw(always_good, 50)) drops += v == net::Link::FaultVerdict::Action::Drop;
   EXPECT_EQ(drops, 0);
 }
 

@@ -175,68 +175,53 @@ TEST(Link, LongWireKeepsOneDeliveryEventInTheHeap) {
   EXPECT_EQ(sched.dispatched(), 2u * kPackets - 1);
 }
 
-// With eager completions every transmission schedules its completion, the
-// last one included, and a completion cut short by a close is armed as the
-// no-op an eager engine had pending: the dispatch count is that engine's.
-TEST(Link, EagerCompletionArmsEveryCompletion) {
-  sim::Scheduler sched;
-  CaptureSink sink{sched};
-  Link link{sched, 0, 1'000'000'000, sim::Time::microseconds(1), make_queue(droptail(10)), sink};
-  link.send(data_packet(1));
-  sched.schedule_at(sim::Time::microseconds(5), [&] {
-    link.set_down(true);
-    link.set_down(false);
-    link.set_eager_completion(true);  // arms 1's cut-short completion
-    link.send(data_packet(2));        // and 2's, though nothing waits
-    EXPECT_EQ(sched.pending(), 3u);   // 1's stale delivery + two completions
-  });
-  sched.run();
-  ASSERT_EQ(sink.arrivals.size(), 1u);
-  EXPECT_EQ(sink.arrivals[0].first, sim::Time::microseconds(5 + 12 + 1));
-  // Setup event, 1's delivery (discarded), 2's delivery, both completions.
-  EXPECT_EQ(sched.dispatched(), 5u);
-}
-
-// Turning eager completions off cancels the ones nothing waits for, a
-// cut-short one included, and keeps the one a queued packet waits for:
-// what restore_state() arms from a snapshot taken at that instant.
-TEST(Link, EagerCompletionOffCancelsWhatNothingWaitsFor) {
+// A close and reopen within one serialization time cancels the cut-short
+// completion, and the new transmission's is armed only if a packet waits
+// behind it. A twin restored from a snapshot taken right then holds the
+// same pending events and delivers identically.
+TEST(Link, ReopenWithinASerializationTimeRestoresToTheSameEvents) {
   for (const bool waiting : {true, false}) {
     SCOPED_TRACE(waiting ? "a packet waits" : "nothing waits");
     sim::Scheduler sched;
     CaptureSink sink{sched};
     Link link{sched, 0, 1'000'000'000, sim::Time::microseconds(1), make_queue(droptail(10)),
               sink};
-    link.set_eager_completion(true);
+    sim::Scheduler sched2;
+    CaptureSink sink2{sched2};
+    Link twin{sched2, 0, 1'000'000'000, sim::Time::microseconds(1), make_queue(droptail(10)),
+              sink2};
     link.send(data_packet(1));
     sched.schedule_at(sim::Time::microseconds(5), [&] {
       link.set_down(true);
       link.set_down(false);
       link.send(data_packet(2));
       if (waiting) link.send(data_packet(3));
-      // The wire's head (1's stale delivery), 1's cut-short completion, 2's.
-      EXPECT_EQ(sched.pending(), 3u);
-      link.set_eager_completion(false);
+      // The wire's head (1's stale delivery), and 2's completion if 3 waits.
       EXPECT_EQ(sched.pending(), waiting ? 2u : 1u);
       EXPECT_TRUE(link.transmitting());
 
       core::ckpt::Saver s;
       link.save_state(s);
-      sim::Scheduler sched2;
-      sched2.restore_clock(sched.now(), sched.next_seq(), 0);
-      CaptureSink sink2{sched2};
-      Link twin{sched2, 0, 1'000'000'000, sim::Time::microseconds(1),
-                make_queue(droptail(10)), sink2};
+      sched2.restore_clock(sched.now(), sched.next_seq(), sched.dispatched());
       core::ckpt::Loader l{s.data()};
       twin.restore_state(l);
       ASSERT_TRUE(l.done());
       EXPECT_EQ(sched2.pending(), sched.pending());
+      EXPECT_TRUE(twin.transmitting());
     });
     sched.run();
+    sched2.run();
     ASSERT_EQ(sink.arrivals.size(), waiting ? 2u : 1u);
+    EXPECT_EQ(sink.arrivals[0].first, sim::Time::microseconds(5 + 12 + 1));
+    ASSERT_EQ(sink2.arrivals.size(), sink.arrivals.size());
+    for (std::size_t i = 0; i < sink.arrivals.size(); ++i) {
+      EXPECT_EQ(sink2.arrivals[i].first, sink.arrivals[i].first);
+      EXPECT_EQ(sink2.arrivals[i].second.uid, sink.arrivals[i].second.uid);
+    }
     // Setup event, 1's delivery (discarded), 2's (and 3's) delivery, and
     // the completion 3 waited for.
     EXPECT_EQ(sched.dispatched(), waiting ? 5u : 3u);
+    EXPECT_EQ(sched2.dispatched(), sched.dispatched());
   }
 }
 
